@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race race-batch replay-determinism tstore-equiv store-chaos lock-matrix bench-obs bench-perf bench-perf-smoke bench-rec bench-serve loadtest perf-guard query-smoke fuzz clean
+.PHONY: check vet build perfbench test race race-batch replay-determinism tstore-equiv store-chaos lock-matrix bench-obs bench-perf bench-perf-smoke bench-rec bench-serve loadtest perf-guard query-smoke fuzz clean
 
 # The full gate: vet, build, tests under the race detector (including the
 # focused batched-delivery pass), the replay-determinism gate, the
@@ -10,14 +10,21 @@ GO ?= go
 # record-and-query smoke, the daemon load + chaos-soak tests, the six-tool
 # lock verdict-matrix gate, and the hot-path + checkpoint-overhead +
 # recording-overhead + serve-throughput + warm-store + cross-process-warm
-# regression guards against the recorded baseline.
-check: vet build race race-batch replay-determinism tstore-equiv store-chaos lock-matrix fuzz bench-obs bench-perf-smoke query-smoke loadtest perf-guard
+# regression guards against the recorded baseline, and the vet + tests of
+# the perfbench module (which root builds never compile).
+check: vet build perfbench race race-batch replay-determinism tstore-equiv store-chaos lock-matrix fuzz bench-obs bench-perf-smoke query-smoke loadtest perf-guard
 
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
+
+# perfbench is a Go module of its own (it replaces repro with ../), so
+# `go build ./...` at the root never compiles it: vet and test it here so
+# an API change in the packages it drives cannot break it unnoticed.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 test:
 	$(GO) test ./...

@@ -2,8 +2,11 @@
 //
 // The plugin contract is the same one Taskgrind uses (dbi.Tool): receive
 // every translated superblock once, inject Dirty helper calls next to the
-// memory operations you care about, and collect results at Fini. This tool
-// counts loads and stores per function symbol — a "cachegrind-lite".
+// memory operations you care about, and collect results at Fini. A tool's
+// helpers are methods it lists in Helpers (dbi.HelperProvider); a Dirty
+// statement names one by index and carries its translation-time parameters
+// in Meta. This tool counts loads and stores per function symbol — a
+// "cachegrind-lite".
 //
 //	go run ./examples/countgrind
 package main
@@ -24,19 +27,58 @@ import (
 // countTool tallies memory accesses per function.
 type countTool struct {
 	dbi.NopTool
+	syms   []guest.Symbol
 	loads  map[string]uint64
 	stores map[string]uint64
 }
 
+// The tool's helpers, in Helpers order.
+const (
+	countLoad = dbi.FirstToolHelper + iota
+	countStore
+)
+
 func (ct *countTool) Name() string { return "countgrind" }
 
-// Instrument injects one Dirty call per load/store. The symbol name is
-// resolved at translation time (it is per-block), so the runtime helper is a
-// single map increment.
+func (ct *countTool) Attach(c *dbi.Core) { ct.syms = c.M.Image.Symbols }
+
+// Helpers implements dbi.HelperProvider.
+func (ct *countTool) Helpers() []dbi.Helper {
+	return []dbi.Helper{ct.countLoad, ct.countStore}
+}
+
+// symbol names the function whose symbol index a helper's Meta carries.
+func (ct *countTool) symbol(meta []uint64) string {
+	if i := meta[0]; i < uint64(len(ct.syms)) {
+		return ct.syms[i].Name
+	}
+	return "???"
+}
+
+func (ct *countTool) countLoad(_ *vm.Thread, meta, _ []uint64) uint64 {
+	ct.loads[ct.symbol(meta)]++
+	return 0
+}
+
+func (ct *countTool) countStore(_ *vm.Thread, meta, _ []uint64) uint64 {
+	ct.stores[ct.symbol(meta)]++
+	return 0
+}
+
+// Instrument injects one Dirty call per load/store. The symbol is resolved
+// at translation time (it is per-block) and travels in Meta as its index in
+// the image's symbol table, so the runtime helper is a single map
+// increment.
 func (ct *countTool) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
-	sym := "???"
-	if s := c.M.Image.SymbolFor(sb.GuestAddr); s != nil {
-		sym = s.Name
+	im := c.M.Image
+	sym := []uint64{uint64(len(im.Symbols))} // no symbol: "???"
+	if s := im.SymbolFor(sb.GuestAddr); s != nil {
+		for i := range im.Symbols {
+			if &im.Symbols[i] == s {
+				sym[0] = uint64(i)
+				break
+			}
+		}
 	}
 	out := &vex.SuperBlock{
 		GuestAddr: sb.GuestAddr, NTemps: sb.NTemps,
@@ -45,15 +87,9 @@ func (ct *countTool) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock
 	for _, s := range sb.Stmts {
 		switch s.Kind {
 		case vex.SWrTmpLoad:
-			out.Stmts = append(out.Stmts, vex.Stmt{
-				Kind: vex.SDirty, Tmp: vex.NoTemp, Name: "count_ld",
-				Fn: func(any, []uint64) uint64 { ct.loads[sym]++; return 0 },
-			})
+			out.Dirty(countLoad, sym)
 		case vex.SStore:
-			out.Stmts = append(out.Stmts, vex.Stmt{
-				Kind: vex.SDirty, Tmp: vex.NoTemp, Name: "count_st",
-				Fn: func(any, []uint64) uint64 { ct.stores[sym]++; return 0 },
-			})
+			out.Dirty(countStore, sym)
 		}
 		out.Stmts = append(out.Stmts, s)
 	}

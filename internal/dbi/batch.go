@@ -26,6 +26,11 @@ package dbi
 // the access statement — byte-for-byte the classic Valgrind helper-per-access
 // semantics — and the differential suite proves the two modes produce
 // identical tool output.
+//
+// A flush is a dirty call to helper vex.HelperFlush, the core's own
+// flushAccesses. Everything it needs besides the run-time addresses sits in
+// the statement's Meta, so the instrumented block is plain data that any
+// core carrying the same tool executes as is.
 
 import (
 	"repro/internal/vex"
@@ -96,8 +101,7 @@ type accessPoint struct {
 
 // accessMetaStore is the store-direction bit in an access's packed Meta
 // word (low byte: width). Two Meta words per access — PC, then
-// width|direction — serialize a flush site so another core (or another
-// process, via the persistent tier) can re-bind an equivalent one.
+// width|direction — describe a flush site.
 const accessMetaStore = 1 << 8
 
 // flushMeta packs a flush site's access points into Stmt.Meta.
@@ -113,26 +117,19 @@ func flushMeta(pts []accessPoint) []uint64 {
 	return meta
 }
 
-// flushSite is one flush callback baked into an instrumented block. Its dirty
-// statement's arguments are the address expressions of the queued accesses in
-// program order; flush marries them with the compile-time descriptors into
-// the core's reusable batch buffer and hands the batch to the sink.
-type flushSite struct {
-	c    *Core
-	sink AccessSink
-	pts  []accessPoint
-}
-
-// flush is the DirtyFn delivering the site's batch.
-func (f *flushSite) flush(ctx any, args []uint64) uint64 {
-	buf := f.c.batchBuf[:0]
-	for i := range f.pts {
-		p := &f.pts[i]
-		buf = append(buf, Access{PC: p.pc, Addr: args[i], Wd: p.wd, Store: p.store})
+// flushAccesses is helper vex.HelperFlush: it marries the flush site's
+// run-time addresses (args, in program order) with the access descriptors
+// in meta into the core's reusable batch buffer and hands the batch to the
+// tool.
+func (c *Core) flushAccesses(t *vm.Thread, meta, args []uint64) uint64 {
+	buf := c.batchBuf[:0]
+	for i, addr := range args {
+		w := meta[2*i+1]
+		buf = append(buf, Access{PC: meta[2*i], Addr: addr, Wd: uint8(w), Store: w&accessMetaStore != 0})
 	}
-	f.c.batchBuf = buf
-	f.c.AccessesDelivered += uint64(len(buf))
-	f.sink.FlushAccesses(ctx.(*vm.Thread), buf)
+	c.batchBuf = buf
+	c.AccessesDelivered += uint64(len(buf))
+	c.sink.FlushAccesses(t, buf)
 	return 0
 }
 
@@ -140,7 +137,10 @@ func (f *flushSite) flush(ctx any, args []uint64) uint64 {
 // delivered to sink according to the core's Delivery mode, returning the
 // instrumented block and the number of load/store sites instrumented. Tools
 // call it from their Instrument hook instead of inserting one dirty call per
-// access; the result is cached like any instrumented translation.
+// access; the result is cached like any instrumented translation. The
+// flushes reach the tool of whichever core executes the block, so sink must
+// be that tool, or the member a multiplexing tool (trace.Tee) forwards
+// them to.
 func (c *Core) InstrumentAccesses(sb *vex.SuperBlock, sink AccessSink) (out *vex.SuperBlock, loads, stores uint64) {
 	out = &vex.SuperBlock{
 		GuestAddr: sb.GuestAddr, NTemps: sb.NTemps,
@@ -153,16 +153,11 @@ func (c *Core) InstrumentAccesses(sb *vex.SuperBlock, sink AccessSink) (out *vex
 		if len(pending) == 0 {
 			return
 		}
-		site := &flushSite{c: c, sink: sink, pts: pending}
 		args := make([]vex.Expr, len(pending))
 		for i := range pending {
 			args[i] = pending[i].addr
 		}
-		out.Stmts = append(out.Stmts, vex.Stmt{
-			Kind: vex.SDirty, Tmp: vex.NoTemp,
-			Name: "flush_accesses", Fn: site.flush, Args: args,
-			Meta: flushMeta(pending),
-		})
+		out.Dirty(vex.HelperFlush, flushMeta(pending), args...)
 		pending = nil
 	}
 	pc := sb.GuestAddr

@@ -194,25 +194,25 @@ func (e *compiledEngine) RunBlock(m *vm.Machine, t *vm.Thread) (res vm.RunResult
 		case vex.UPutR:
 			regs[u.Dst] = regs[u.A]
 		case vex.UBinTT:
-			tmps[u.Dst] = u.Fn(tmps[u.A], tmps[u.B])
+			tmps[u.Dst] = vex.BinopFn(u.Op)(tmps[u.A], tmps[u.B])
 		case vex.UBinTC:
-			tmps[u.Dst] = u.Fn(tmps[u.A], u.Imm)
+			tmps[u.Dst] = vex.BinopFn(u.Op)(tmps[u.A], u.Imm)
 		case vex.UBinTR:
-			tmps[u.Dst] = u.Fn(tmps[u.A], regs[u.B])
+			tmps[u.Dst] = vex.BinopFn(u.Op)(tmps[u.A], regs[u.B])
 		case vex.UBinCT:
-			tmps[u.Dst] = u.Fn(u.Imm, tmps[u.B])
+			tmps[u.Dst] = vex.BinopFn(u.Op)(u.Imm, tmps[u.B])
 		case vex.UBinCR:
-			tmps[u.Dst] = u.Fn(u.Imm, regs[u.B])
+			tmps[u.Dst] = vex.BinopFn(u.Op)(u.Imm, regs[u.B])
 		case vex.UBinRT:
-			tmps[u.Dst] = u.Fn(regs[u.A], tmps[u.B])
+			tmps[u.Dst] = vex.BinopFn(u.Op)(regs[u.A], tmps[u.B])
 		case vex.UBinRC:
-			tmps[u.Dst] = u.Fn(regs[u.A], u.Imm)
+			tmps[u.Dst] = vex.BinopFn(u.Op)(regs[u.A], u.Imm)
 		case vex.UBinRR:
-			tmps[u.Dst] = u.Fn(regs[u.A], regs[u.B])
+			tmps[u.Dst] = vex.BinopFn(u.Op)(regs[u.A], regs[u.B])
 		case vex.UUnT:
-			tmps[u.Dst] = u.Fn1(tmps[u.A])
+			tmps[u.Dst] = vex.UnopFn(u.Op)(tmps[u.A])
 		case vex.UUnR:
-			tmps[u.Dst] = u.Fn1(regs[u.A])
+			tmps[u.Dst] = vex.UnopFn(u.Op)(regs[u.A])
 		case vex.ULdT:
 			e.curIdx = i
 			tmps[u.Dst] = m.Mem.Load(tmps[u.A], u.Wd)
@@ -247,25 +247,25 @@ func (e *compiledEngine) RunBlock(m *vm.Machine, t *vm.Thread) (res vm.RunResult
 			e.curIdx = i
 			m.Mem.Store(regs[u.A], u.Wd, regs[u.B])
 		case vex.UPutBinTT:
-			regs[u.Dst] = u.Fn(tmps[u.A], tmps[u.B])
+			regs[u.Dst] = vex.BinopFn(u.Op)(tmps[u.A], tmps[u.B])
 		case vex.UPutBinTC:
-			regs[u.Dst] = u.Fn(tmps[u.A], u.Imm)
+			regs[u.Dst] = vex.BinopFn(u.Op)(tmps[u.A], u.Imm)
 		case vex.UPutBinTR:
-			regs[u.Dst] = u.Fn(tmps[u.A], regs[u.B])
+			regs[u.Dst] = vex.BinopFn(u.Op)(tmps[u.A], regs[u.B])
 		case vex.UPutBinCT:
-			regs[u.Dst] = u.Fn(u.Imm, tmps[u.B])
+			regs[u.Dst] = vex.BinopFn(u.Op)(u.Imm, tmps[u.B])
 		case vex.UPutBinCR:
-			regs[u.Dst] = u.Fn(u.Imm, regs[u.B])
+			regs[u.Dst] = vex.BinopFn(u.Op)(u.Imm, regs[u.B])
 		case vex.UPutBinRT:
-			regs[u.Dst] = u.Fn(regs[u.A], tmps[u.B])
+			regs[u.Dst] = vex.BinopFn(u.Op)(regs[u.A], tmps[u.B])
 		case vex.UPutBinRC:
-			regs[u.Dst] = u.Fn(regs[u.A], u.Imm)
+			regs[u.Dst] = vex.BinopFn(u.Op)(regs[u.A], u.Imm)
 		case vex.UPutBinRR:
-			regs[u.Dst] = u.Fn(regs[u.A], regs[u.B])
+			regs[u.Dst] = vex.BinopFn(u.Op)(regs[u.A], regs[u.B])
 		case vex.UPutUnT:
-			regs[u.Dst] = u.Fn1(tmps[u.A])
+			regs[u.Dst] = vex.UnopFn(u.Op)(tmps[u.A])
 		case vex.UPutUnR:
-			regs[u.Dst] = u.Fn1(regs[u.A])
+			regs[u.Dst] = vex.UnopFn(u.Op)(regs[u.A])
 		case vex.ULdPRI:
 			e.curIdx = i
 			regs[u.Dst] = m.Mem.Load(regs[u.A]+u.Imm, u.Wd)
@@ -287,26 +287,26 @@ func (e *compiledEngine) RunBlock(m *vm.Machine, t *vm.Thread) (res vm.RunResult
 				return e.takeExit(m, t, ent, u, ic)
 			}
 		case vex.UExitBinTT:
-			if u.Fn(tmps[u.A], tmps[u.B]) != 0 {
+			if vex.BinopFn(u.Op)(tmps[u.A], tmps[u.B]) != 0 {
 				return e.takeExit(m, t, ent, u, ic)
 			}
 		case vex.UExitBinTR:
-			if u.Fn(tmps[u.A], regs[u.B]) != 0 {
+			if vex.BinopFn(u.Op)(tmps[u.A], regs[u.B]) != 0 {
 				return e.takeExit(m, t, ent, u, ic)
 			}
 		case vex.UExitBinRT:
-			if u.Fn(regs[u.A], tmps[u.B]) != 0 {
+			if vex.BinopFn(u.Op)(regs[u.A], tmps[u.B]) != 0 {
 				return e.takeExit(m, t, ent, u, ic)
 			}
 		case vex.UExitBinRR:
-			if u.Fn(regs[u.A], regs[u.B]) != 0 {
+			if vex.BinopFn(u.Op)(regs[u.A], regs[u.B]) != 0 {
 				return e.takeExit(m, t, ent, u, ic)
 			}
 		case vex.UJmp:
 			return e.takeExit(m, t, ent, u, ic)
 		case vex.UDirty:
 			e.curIdx = i
-			d := u.Dirty
+			d := &code.Dirty[u.A]
 			// Credit the instructions started before the call so the
 			// helper observes IR-interpreter-exact counters.
 			if n := uint64(d.InstrsBefore); n > ic {
@@ -331,7 +331,7 @@ func (e *compiledEngine) RunBlock(m *vm.Machine, t *vm.Thread) (res vm.RunResult
 				}
 			}
 			c.DirtyCalls++
-			r := d.Fn(t, args)
+			r := c.helpers[d.HelperID](t, d.Meta, args)
 			if d.HasTmp {
 				tmps[d.Tmp] = r
 			}

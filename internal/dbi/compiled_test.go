@@ -9,6 +9,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/tools/archer"
 	"repro/internal/vex"
+	"repro/internal/vm"
 )
 
 func TestCompiledEngineIsDefaultAndChains(t *testing.T) {
@@ -82,16 +83,21 @@ func (ct *clearTool) Name() string { return "clear" }
 
 func (ct *clearTool) Attach(c *dbi.Core) { ct.core = c }
 
+// Helpers implements dbi.HelperProvider: the probe is FirstToolHelper.
+func (ct *clearTool) Helpers() []dbi.Helper { return []dbi.Helper{ct.probe} }
+
+func (ct *clearTool) probe(*vm.Thread, []uint64, []uint64) uint64 {
+	ct.entries++
+	if ct.entries == ct.after {
+		ct.core.ClearCache()
+		ct.cleared++
+	}
+	return 0
+}
+
 func (ct *clearTool) Instrument(_ *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
 	out := &vex.SuperBlock{GuestAddr: sb.GuestAddr, NTemps: sb.NTemps, Next: sb.Next, NextJK: sb.NextJK, Aux: sb.Aux}
-	out.Dirty("clear_probe", func(_ any, _ []uint64) uint64 {
-		ct.entries++
-		if ct.entries == ct.after {
-			ct.core.ClearCache()
-			ct.cleared++
-		}
-		return 0
-	})
+	out.Dirty(dbi.FirstToolHelper, nil)
 	out.Stmts = append(out.Stmts, sb.Stmts...)
 	return out
 }

@@ -95,10 +95,10 @@ type Core struct {
 
 	// Shared, when set, is the content-addressed translation store tier
 	// consulted between the local caches and fresh translation: local miss
-	// -> adopt a published unit (copy-on-attach, dirty helpers re-bound to
-	// this core) -> translate fresh and publish. The store must be keyed
-	// for exactly this core's (image, tool, engine, extend, delivery)
-	// universe — the harness derives the key; see internal/tstore.
+	// -> adopt a published unit (attached by reference) -> translate fresh
+	// and publish. The store must be keyed for exactly this core's (image,
+	// tool, engine, extend, delivery) universe — the harness derives the
+	// key; see internal/tstore.
 	Shared *tstore.Store
 	// pretranslating marks a throwaway translation-pipeline core: its
 	// published units carry the Pretranslated flag.
@@ -154,8 +154,13 @@ type Core struct {
 	// callback per access (the differential reference). Set before the
 	// first translation.
 	Delivery Delivery
-	// batchBuf is the reusable access-batch buffer shared by every
-	// flushSite (the scheduler is single-threaded by construction).
+	// helpers is the dirty-helper table a block's HelperIDs index (see
+	// setTool); sink is the tool's access sink, the target of entry
+	// vex.HelperFlush.
+	helpers []Helper
+	sink    AccessSink
+	// batchBuf is the reusable access-batch buffer of flushAccesses (the
+	// scheduler is single-threaded by construction).
 	batchBuf []Access
 	// DirtyCalls counts tool dirty-call executions (both engines) —
 	// the callback-granularity metric batched delivery improves.
@@ -195,6 +200,25 @@ type Attacher interface {
 	Attach(c *Core)
 }
 
+// Helper is a dirty-call helper: what an SDirty statement (or UDirty
+// micro-op) calls through its HelperID on the executing core. meta is the
+// statement's translation-time parameters, args its run-time argument
+// values (a reused buffer: do not retain). The result lands in the
+// statement's result temp, if it has one.
+type Helper func(t *vm.Thread, meta, args []uint64) uint64
+
+// FirstToolHelper is the HelperID of a tool's first own helper; entry
+// vex.HelperFlush is the core's access delivery.
+const FirstToolHelper = vex.HelperFlush + 1
+
+// HelperProvider is implemented by tools that insert dirty calls of their
+// own. The core installs Helpers()[i] at HelperID FirstToolHelper+i, so the
+// IDs depend only on the tool type and a block instrumented on one core
+// runs unchanged on any core carrying the same tool.
+type HelperProvider interface {
+	Helpers() []Helper
+}
+
 // Identifier is implemented by tools whose instrumentation depends on
 // configuration beyond the tool type: the translation store keys units by
 // ToolID instead of Name, so two same-named instances with different
@@ -221,10 +245,11 @@ type CompileTimeTool interface {
 // main thread) get their ThreadStart callback immediately.
 func New(m *vm.Machine, tool Tool) *Core {
 	c := &Core{
-		M: m, tool: tool,
+		M:      m,
 		cache:  make(map[uint64]*vex.SuperBlock),
 		ccache: make(map[uint64]*centry),
 	}
+	c.setTool(tool)
 	if tool != nil {
 		installed := false
 		if ct, ok := tool.(CompileTimeTool); ok {
@@ -253,8 +278,24 @@ func New(m *vm.Machine, tool Tool) *Core {
 	return c
 }
 
+// setTool installs the tool and the helper table its instrumentation calls
+// into. Every core that gets a tool goes through here, including the
+// pretranslation workers, which never run Attach.
+func (c *Core) setTool(tool Tool) {
+	c.tool = tool
+	c.sink, _ = tool.(AccessSink)
+	c.helpers = []Helper{vex.HelperFlush: c.flushAccesses}
+	if p, ok := tool.(HelperProvider); ok {
+		c.helpers = append(c.helpers, p.Helpers()...)
+	}
+}
+
 // Tool returns the loaded tool (nil when uninstrumented).
 func (c *Core) Tool() Tool { return c.tool }
+
+// NumHelpers returns the size of the core's helper table: every HelperID a
+// block executed on this core may use is below it.
+func (c *Core) NumHelpers() int { return len(c.helpers) }
 
 // Engine names accepted by SelectEngine.
 const (
@@ -420,9 +461,7 @@ func (c *Core) translate(addr uint64, tid int) (*vex.SuperBlock, error) {
 	}
 	c.CacheMisses++
 	if u := c.sharedGet(addr); u != nil {
-		if sb, err := c.adoptSB(u); err == nil {
-			return sb, nil
-		}
+		return c.adoptSB(u), nil
 	}
 	return c.translateFresh(addr, tid)
 }
@@ -477,27 +516,16 @@ func (c *Core) compiled(addr uint64, tid int) (*centry, error) {
 		return ent, nil
 	}
 	c.CacheMisses++
-	var unit *tstore.Unit
-	sb, haveSB := c.cache[addr]
-	if !haveSB {
-		if unit = c.sharedGet(addr); unit != nil {
-			if s, err := c.adoptSB(unit); err == nil {
-				sb, haveSB = s, true
-			} else {
-				unit = nil // unadoptable: fall back to the local pipeline
-			}
-		}
-	}
-	if !haveSB {
-		var err error
-		if sb, err = c.translateFresh(addr, tid); err != nil {
-			return nil, err
-		}
-	}
 	var code *vex.Compiled
-	if unit != nil && unit.Code != nil {
-		if adopted, err := c.adoptCode(unit); err == nil {
-			code = adopted
+	sb, ok := c.cache[addr]
+	if !ok {
+		if u := c.sharedGet(addr); u != nil {
+			sb, code = c.adoptSB(u), u.Code
+		} else {
+			var err error
+			if sb, err = c.translateFresh(addr, tid); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if code == nil {

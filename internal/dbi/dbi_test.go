@@ -85,20 +85,23 @@ type countTool struct {
 
 func (ct *countTool) Name() string { return "count" }
 
+// Helpers implements dbi.HelperProvider: IDs FirstToolHelper (loads) and
+// FirstToolHelper+1 (stores).
+func (ct *countTool) Helpers() []dbi.Helper {
+	return []dbi.Helper{
+		func(*vm.Thread, []uint64, []uint64) uint64 { ct.loads++; return 0 },
+		func(*vm.Thread, []uint64, []uint64) uint64 { ct.stores++; return 0 },
+	}
+}
+
 func (ct *countTool) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
 	out := &vex.SuperBlock{GuestAddr: sb.GuestAddr, NTemps: sb.NTemps, Next: sb.Next, NextJK: sb.NextJK, Aux: sb.Aux}
 	for _, s := range sb.Stmts {
 		switch s.Kind {
 		case vex.SWrTmpLoad:
-			out.Dirty("count_load", func(_ any, _ []uint64) uint64 {
-				ct.loads++
-				return 0
-			}, s.E1)
+			out.Dirty(dbi.FirstToolHelper, nil, s.E1)
 		case vex.SStore:
-			out.Dirty("count_store", func(_ any, _ []uint64) uint64 {
-				ct.stores++
-				return 0
-			}, s.E1)
+			out.Dirty(dbi.FirstToolHelper+1, nil, s.E1)
 		}
 		out.Stmts = append(out.Stmts, s)
 	}

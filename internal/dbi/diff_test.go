@@ -44,22 +44,25 @@ func (lt *logTool) Instrument(_ *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
 		switch s.Kind {
 		case vex.SIMark:
 			pc = s.Addr
-		case vex.SWrTmpLoad:
-			out.Dirty("log_load", lt.record(pc, false, uint8(s.Wd)), s.E1)
-		case vex.SStore:
-			out.Dirty("log_store", lt.record(pc, true, uint8(s.Wd)), s.E1)
+		case vex.SWrTmpLoad, vex.SStore:
+			// Meta: PC, store flag, width.
+			store := uint64(0)
+			if s.Kind == vex.SStore {
+				store = 1
+			}
+			out.Dirty(dbi.FirstToolHelper, []uint64{pc, store, uint64(s.Wd)}, s.E1)
 		}
 		out.Stmts = append(out.Stmts, s)
 	}
 	return out
 }
 
-func (lt *logTool) record(pc uint64, store bool, wd uint8) vex.DirtyFn {
-	return func(ctx any, args []uint64) uint64 {
-		t := ctx.(*vm.Thread)
-		lt.log = append(lt.log, accessRec{TID: t.ID, PC: pc, Store: store, Addr: args[0], Wd: wd})
-		return 0
-	}
+// Helpers implements dbi.HelperProvider: the recorder is FirstToolHelper.
+func (lt *logTool) Helpers() []dbi.Helper { return []dbi.Helper{lt.record} }
+
+func (lt *logTool) record(t *vm.Thread, meta, args []uint64) uint64 {
+	lt.log = append(lt.log, accessRec{TID: t.ID, PC: meta[0], Store: meta[1] != 0, Addr: args[0], Wd: uint8(meta[2])})
+	return 0
 }
 
 // engineState is the full observable outcome of a run: guest-architectural

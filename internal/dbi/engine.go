@@ -97,7 +97,7 @@ func (e *irEngine) RunBlock(m *vm.Machine, t *vm.Thread) (res vm.RunResult, err 
 				args[j] = evalExpr(a, tmps, regs)
 			}
 			e.c.DirtyCalls++
-			r := s.Fn(t, args)
+			r := e.c.helpers[s.HelperID](t, s.Meta, args)
 			if s.Tmp != vex.NoTemp {
 				tmps[s.Tmp] = r
 			}

@@ -104,7 +104,6 @@ func (p *Pretranslation) run(st *tstore.Store, im *guest.Image, workers int, new
 			// races the running guest's core.
 			c := &Core{
 				M:              &vm.Machine{Image: im},
-				tool:           newTool(),
 				cache:          make(map[uint64]*vex.SuperBlock),
 				ccache:         make(map[uint64]*centry),
 				ExtendBudget:   key.Extend,
@@ -112,6 +111,7 @@ func (p *Pretranslation) run(st *tstore.Store, im *guest.Image, workers int, new
 				Shared:         st,
 				pretranslating: true,
 			}
+			c.setTool(newTool())
 			for {
 				mu.Lock()
 				for len(queue) == 0 && pending > 0 {
@@ -162,7 +162,7 @@ func (p *Pretranslation) process(c *Core, st *tstore.Store, addr uint64, wantCod
 	if err != nil {
 		return nil
 	}
-	if wantCode && portableSB(sb) {
+	if wantCode {
 		if code, err := vex.Compile(sb); err == nil {
 			st.PutCode(addr, code)
 		}

@@ -188,6 +188,7 @@ func New(s Setup) (*Instance, error) {
 			Engine:   engine,
 			Extend:   s.Extend,
 			Delivery: s.Delivery.String(),
+			Helpers:  inst.Core.NumHelpers(),
 		})
 		inst.Core.Shared = st
 		inst.TStore = s.TStore

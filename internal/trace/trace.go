@@ -236,6 +236,18 @@ func (t Tee) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
 	return t.B.Instrument(c, t.A.Instrument(c, sb))
 }
 
+// FlushAccesses implements dbi.AccessSink: access batches reach the core's
+// tool, so Tee hands them to whichever member is a sink. A member's flushes
+// go to every sink member, so at most one member may deliver accesses.
+func (t Tee) FlushAccesses(th *vm.Thread, batch []dbi.Access) {
+	if s, ok := t.A.(dbi.AccessSink); ok {
+		s.FlushAccesses(th, batch)
+	}
+	if s, ok := t.B.(dbi.AccessSink); ok {
+		s.FlushAccesses(th, batch)
+	}
+}
+
 // ClientRequest delivers to both; A's result wins.
 func (t Tee) ClientRequest(th *vm.Thread, code int32, args [6]uint64) uint64 {
 	r := t.A.ClientRequest(th, code, args)

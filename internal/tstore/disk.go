@@ -161,7 +161,7 @@ func (t *diskTier) scan(data []byte, s *Store, merge bool) (validEnd int, addrs 
 		if !ok {
 			break // torn tail (or bit rot): keep the frames before it
 		}
-		u, err := decodeUnit(&dec{buf: payload})
+		u, err := decodeUnit(&dec{buf: payload}, s.key.Helpers)
 		if err != nil {
 			// CRC-valid framing around an undecodable payload: count it,
 			// skip it, keep scanning — the following frames are intact.

@@ -5,10 +5,10 @@ package tstore
 // wrapped in a length+CRC32 frame so a torn tail is detected and dropped
 // instead of poisoning the store.
 //
-// Function values do not serialize. Pure op-table funcs (UOp.Fn/Fn1) are
-// re-bound from the recorded vex.Op on decode; dirty-helper closures are
-// left nil and re-bound by the adopting core from (Name, Meta, Args) — a
-// decoded unit is inert until a core attaches it.
+// A unit is plain data — dirty calls name their helper by HelperID,
+// micro-ops their operation by vex.Op — so it round-trips exactly. Decoding
+// then bounds every index the engines will follow (checkUnit), so a
+// CRC-valid but malformed frame is rejected, never run.
 
 import (
 	"encoding/binary"
@@ -156,8 +156,9 @@ func encodeUnit(e *enc, u *Unit) {
 	}
 }
 
-// decodeUnit reverses encodeUnit. Dirty helpers come back with nil Fn.
-func decodeUnit(d *dec) (*Unit, error) {
+// decodeUnit reverses encodeUnit and checks the result against helpers, the
+// size of the tool's helper table (Key.Helpers).
+func decodeUnit(d *dec, helpers int) (*Unit, error) {
 	u := &Unit{Addr: d.u64()}
 	u.Seams = int(d.u64())
 	flags := d.u64()
@@ -171,6 +172,9 @@ func decodeUnit(d *dec) (*Unit, error) {
 	}
 	if d.off != len(d.buf) {
 		return nil, fmt.Errorf("tstore: decode: %d trailing bytes in unit frame", len(d.buf)-d.off)
+	}
+	if err := checkUnit(u, helpers); err != nil {
+		return nil, err
 	}
 	return u, nil
 }
@@ -195,7 +199,7 @@ func encSB(e *enc, sb *vex.SuperBlock) {
 		e.u64(uint64(s.Reg))
 		e.u64(s.Target)
 		e.u64(uint64(s.JK))
-		e.str(s.Name)
+		e.u64(uint64(s.HelperID))
 		e.u64(uint64(len(s.Args)))
 		for _, a := range s.Args {
 			encExpr(e, a)
@@ -231,7 +235,7 @@ func decSB(d *dec) *vex.SuperBlock {
 		s.Reg = uint8(d.u64())
 		s.Target = d.u64()
 		s.JK = vex.JumpKind(d.u64())
-		s.Name = d.str()
+		s.HelperID = vex.HelperID(d.u64())
 		if na := d.count(); na > 0 {
 			s.Args = make([]vex.Expr, na)
 			for j := range s.Args {
@@ -271,13 +275,11 @@ func encCompiled(e *enc, c *vex.Compiled) {
 		e.u64(uint64(u.B))
 		e.i64(int64(u.ChainIdx))
 		e.u64(u.Imm)
-		if u.Dirty == nil {
-			e.u64(0)
-			continue
-		}
-		e.u64(1)
-		dd := u.Dirty
-		e.str(dd.Name)
+	}
+	e.u64(uint64(len(c.Dirty)))
+	for i := range c.Dirty {
+		dd := &c.Dirty[i]
+		e.u64(uint64(dd.HelperID))
 		e.u64(uint64(len(dd.Args)))
 		for _, a := range dd.Args {
 			e.u64(uint64(a.Kind))
@@ -335,8 +337,12 @@ func decCompiled(d *dec) *vex.Compiled {
 		u.B = uint32(d.u64())
 		u.ChainIdx = int32(d.i64())
 		u.Imm = d.u64()
-		if d.u64() != 0 {
-			dd := &vex.DirtyOp{Name: d.str()}
+	}
+	if nd := d.count(); nd > 0 {
+		c.Dirty = make([]vex.DirtyOp, nd)
+		for i := 0; i < nd && d.err == nil; i++ {
+			dd := &c.Dirty[i]
+			dd.HelperID = vex.HelperID(d.u64())
 			if na := d.count(); na > 0 {
 				dd.Args = make([]vex.CArg, na)
 				for j := range dd.Args {
@@ -356,9 +362,7 @@ func decCompiled(d *dec) *vex.Compiled {
 			dd.Tmp = uint32(d.u64())
 			dd.HasTmp = d.u64() != 0
 			dd.InstrsBefore = uint32(d.u64())
-			u.Dirty = dd
 		}
-		rebindOp(d, u)
 	}
 	c.PCs = make([]uint64, n)
 	prev := uint64(0)
@@ -371,23 +375,4 @@ func decCompiled(d *dec) *vex.Compiled {
 		c.ICs[i] = uint32(d.u64())
 	}
 	return c
-}
-
-// rebindOp restores the pre-bound op-table funcs a serialized micro-op
-// cannot carry. The vex compiler records the source vex.Op on every
-// op-table micro-op precisely so this lookup works.
-func rebindOp(d *dec, u *vex.UOp) {
-	switch {
-	case (u.Code >= vex.UBinTT && u.Code <= vex.UBinRR) ||
-		(u.Code >= vex.UPutBinTT && u.Code <= vex.UPutBinRR) ||
-		(u.Code >= vex.UExitBinTT && u.Code <= vex.UExitBinRR):
-		if u.Fn = vex.BinopFn(u.Op); u.Fn == nil {
-			d.fail("micro-op %d carries non-binary op %d", u.Code, u.Op)
-		}
-	case u.Code == vex.UUnT || u.Code == vex.UUnR ||
-		u.Code == vex.UPutUnT || u.Code == vex.UPutUnR:
-		if u.Fn1 = vex.UnopFn(u.Op); u.Fn1 == nil {
-			d.fail("micro-op %d carries non-unary op %d", u.Code, u.Op)
-		}
-	}
 }

@@ -4,13 +4,16 @@ package tstore
 // readFrame/decodeUnit must never panic or over-allocate, and the scan
 // must be prefix-stable — rescanning the valid prefix of any input
 // recovers exactly the same frames. This is the property the torn-tail and
-// kill -9 guarantees rest on.
+// kill -9 guarantees rest on. Every unit that decodes must also pass the
+// structural check the engines rely on.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
+
+	"repro/internal/vex"
 )
 
 // scanFrames walks data (positioned after the header) exactly like the
@@ -25,7 +28,7 @@ func scanFrames(data []byte, start int) (units, corrupt, validEnd int) {
 		if !ok {
 			break
 		}
-		if _, err := decodeUnit(&dec{buf: payload}); err != nil {
+		if _, err := decodeUnit(&dec{buf: payload}, testKey().Helpers); err != nil {
 			corrupt++
 		} else {
 			units++
@@ -40,7 +43,11 @@ func fuzzSeedFile() []byte {
 	e.str(testKey().String())
 	for _, addr := range []uint64{0x1000, 0x1040, 0x1080} {
 		var ue enc
-		encodeUnit(&ue, &Unit{Addr: addr, SB: sampleSB(addr), Seams: 1})
+		u := &Unit{Addr: addr, SB: sampleSB(addr), Seams: 1}
+		if addr == 0x1080 {
+			u.Code, _ = vex.Compile(u.SB)
+		}
+		encodeUnit(&ue, u)
 		e.u64(uint64(len(ue.buf)))
 		var crc [4]byte
 		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(ue.buf))
@@ -84,13 +91,16 @@ func FuzzFrameScan(f *testing.F) {
 			if !ok {
 				break
 			}
-			u, err := decodeUnit(&dec{buf: payload})
+			u, err := decodeUnit(&dec{buf: payload}, testKey().Helpers)
 			if err != nil {
 				continue
 			}
+			if err := checkUnit(u, testKey().Helpers); err != nil {
+				t.Fatalf("decoded unit fails the structural check: %v", err)
+			}
 			var e1, e2 enc
 			encodeUnit(&e1, u)
-			ru, err := decodeUnit(&dec{buf: e1.buf})
+			ru, err := decodeUnit(&dec{buf: e1.buf}, testKey().Helpers)
 			if err != nil {
 				t.Fatalf("re-decode of re-encoded unit failed: %v", err)
 			}

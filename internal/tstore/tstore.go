@@ -11,19 +11,18 @@
 // jobs, and (via the on-disk tier) across concurrent processes and process
 // restarts.
 //
-// A Unit carries the portable form of one translated superblock. Portable
-// means every embedded helper closure is represented by its (Name, Meta,
-// Args) triple rather than the closure itself: closures are bound to the
-// core and tool instance that produced them, so an adopting core re-binds
-// equivalent helpers of its own (copy-on-attach, implemented in
-// internal/dbi). Everything per-thread and mutable — chain predictions,
-// dispatch tables, generation counters — stays in the adopting core.
+// A Unit is one translated superblock as plain data: dirty calls name their
+// helper by an index into the executing core's helper table, and micro-ops
+// hold no pointers, so any core carrying the same tool attaches a unit by
+// reference (internal/dbi). Everything per-thread and mutable — chain
+// predictions, dispatch tables, generation counters — stays in the
+// adopting core.
 //
 // The store is bounded: a Cache may carry byte and unit caps, enforced by
 // clock-style (second-chance) eviction over generation-stamped adoption
-// times. Evicting a unit is always safe — cores keep their own copies of
-// adopted blocks, so a re-miss merely retranslates — which is why a cheap
-// approximate policy suffices.
+// times. Evicting a unit is always safe — cores keep their own references
+// to adopted blocks, so a re-miss merely retranslates — which is why a
+// cheap approximate policy suffices.
 package tstore
 
 import (
@@ -44,7 +43,7 @@ import (
 // header). Bump it whenever the unit encoding, the IR, the micro-op set or
 // the translator's output changes shape: old files then simply never match
 // and the store starts cold instead of serving stale translations.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // Key identifies one translation universe: every input that can change the
 // bytes a translation produces. Two runs with equal Keys may share
@@ -63,6 +62,10 @@ type Key struct {
 	Extend int
 	// Delivery is the access-delivery mode ("batched" or "per-event").
 	Delivery string
+	// Helpers is the size of the tool's dirty-helper table (the core's
+	// NumHelpers): a decoded unit that calls a helper beyond it is
+	// rejected.
+	Helpers int
 	// Version pins the store format; NewKey sets it to FormatVersion.
 	Version int
 }
@@ -70,8 +73,8 @@ type Key struct {
 // String renders the canonical form hashed into the on-disk file name and
 // written into the file header.
 func (k Key) String() string {
-	return fmt.Sprintf("v%d/img=%s/tool=%s/engine=%s/extend=%d/delivery=%s",
-		k.Version, k.Image, k.Tool, k.Engine, k.Extend, k.Delivery)
+	return fmt.Sprintf("v%d/img=%s/tool=%s/engine=%s/extend=%d/delivery=%s/helpers=%d",
+		k.Version, k.Image, k.Tool, k.Engine, k.Extend, k.Delivery, k.Helpers)
 }
 
 // ImageHash computes the content hash of a guest image: text, data, entry,
@@ -119,14 +122,13 @@ func ImageHash(im *guest.Image) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Unit is one translated superblock in portable form. Units are immutable
-// once published: attaching a compiled form replaces the published pointer
-// with a copy, so readers holding a Unit never observe mutation.
+// Unit is one translated superblock. Units are immutable once published:
+// attaching a compiled form replaces the published pointer with a copy, so
+// readers holding a Unit never observe mutation.
 type Unit struct {
 	// Addr is the guest entry address of the superblock.
 	Addr uint64
-	// SB is the instrumented (and optimized) IR. In a disk-loaded unit the
-	// dirty statements carry nil Fn until a core re-binds them.
+	// SB is the instrumented (and optimized) IR.
 	SB *vex.SuperBlock
 	// Code is the compiled micro-op form; nil until some core (or the
 	// pretranslation pipeline) compiles the block.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -23,9 +24,7 @@ func sampleSB(addr uint64) *vex.SuperBlock {
 	sb.Append(vex.Stmt{Kind: vex.SWrTmpBinop, Tmp: t1, Op: vex.OpAdd,
 		E1: vex.TmpE(t0), E2: vex.ConstE(7)})
 	sb.Append(vex.Stmt{Kind: vex.SWrTmpUnop, Tmp: t2, Op: vex.OpNot, E1: vex.TmpE(t1)})
-	sb.Append(vex.Stmt{Kind: vex.SDirty, Tmp: vex.NoTemp, Name: "flush_accesses",
-		Fn:   func(any, []uint64) uint64 { return 0 },
-		Args: []vex.Expr{vex.TmpE(t0)}, Meta: []uint64{addr, 8}})
+	sb.Dirty(vex.HelperFlush, []uint64{addr, 8}, vex.TmpE(t0))
 	sb.Append(vex.Stmt{Kind: vex.SStore, Wd: 4, E1: vex.RegE(3), E2: vex.TmpE(t2)})
 	sb.Append(vex.Stmt{Kind: vex.SExit, Target: addr + 32, JK: vex.JKBoring,
 		E1: vex.TmpE(t1)})
@@ -45,7 +44,7 @@ func sampleUnit(t *testing.T, addr uint64) *Unit {
 
 func testKey() Key {
 	return Key{Image: "abc123", Tool: "taskgrind", Engine: "compiled",
-		Extend: 8, Delivery: "batched", Version: FormatVersion}
+		Extend: 8, Delivery: "batched", Helpers: 1, Version: FormatVersion}
 }
 
 // TestUnitRoundtrip: encode/decode preserves the IR and the compiled form,
@@ -55,7 +54,7 @@ func TestUnitRoundtrip(t *testing.T) {
 	u := sampleUnit(t, 0x1000)
 	var e enc
 	encodeUnit(&e, u)
-	got, err := decodeUnit(&dec{buf: e.buf})
+	got, err := decodeUnit(&dec{buf: e.buf}, testKey().Helpers)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -68,7 +67,7 @@ func TestUnitRoundtrip(t *testing.T) {
 	}
 	for i, s := range got.SB.Stmts {
 		o := u.SB.Stmts[i]
-		if s.Kind != o.Kind || s.Op != o.Op || s.Wd != o.Wd || s.Name != o.Name {
+		if s.Kind != o.Kind || s.Op != o.Op || s.Wd != o.Wd || s.HelperID != o.HelperID {
 			t.Fatalf("stmt %d mismatch: %+v vs %+v", i, s, o)
 		}
 	}
@@ -76,15 +75,10 @@ func TestUnitRoundtrip(t *testing.T) {
 		got.Code.NInstrs != u.Code.NInstrs || len(got.Code.PCs) != len(u.Code.PCs) {
 		t.Fatalf("compiled form mismatch")
 	}
-	// The decoder must rebind op-table functions from the Op tag.
-	for i, op := range got.Code.Ops {
-		o := u.Code.Ops[i]
-		if op.Code != o.Code || op.Op != o.Op {
-			t.Fatalf("uop %d mismatch: %+v vs %+v", i, op, o)
-		}
-		if (o.Fn != nil) != (op.Fn != nil) || (o.Fn1 != nil) != (op.Fn1 != nil) {
-			t.Fatalf("uop %d fn rebinding lost: %+v", i, op)
-		}
+	// A unit is plain data: the decoded form is the encoded one, field for
+	// field.
+	if !reflect.DeepEqual(got.SB, u.SB) || !reflect.DeepEqual(got.Code, u.Code) {
+		t.Fatalf("decoded unit differs:\n%+v\n%+v", got.Code, u.Code)
 	}
 	var e2 enc
 	encodeUnit(&e2, got)
@@ -102,12 +96,12 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	var e enc
 	encodeUnit(&e, u)
 	for cut := 0; cut < len(e.buf); cut += 7 {
-		if _, err := decodeUnit(&dec{buf: e.buf[:cut]}); err == nil {
+		if _, err := decodeUnit(&dec{buf: e.buf[:cut]}, testKey().Helpers); err == nil {
 			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(e.buf))
 		}
 	}
 	// Trailing garbage is an error too.
-	if _, err := decodeUnit(&dec{buf: append(append([]byte{}, e.buf...), 0)}); err == nil {
+	if _, err := decodeUnit(&dec{buf: append(append([]byte{}, e.buf...), 0)}, testKey().Helpers); err == nil {
 		t.Fatalf("trailing byte accepted")
 	}
 }
@@ -156,11 +150,9 @@ func TestDiskRoundtrip(t *testing.T) {
 	if u == nil || u.Code == nil || u.Seams != 2 || !u.Pretranslated {
 		t.Fatalf("reloaded unit mismatch: %+v", u)
 	}
-	// Dirty helpers must come back unbound (the adopting core rebinds).
-	for _, s := range u.SB.Stmts {
-		if s.Kind == vex.SDirty && s.Fn != nil {
-			t.Fatalf("persisted dirty fn survived the disk")
-		}
+	// Dirty calls come back as the same helper index and Meta.
+	if !reflect.DeepEqual(u.SB, sampleSB(0x1000)) {
+		t.Fatalf("reloaded IR differs from the saved IR")
 	}
 }
 

@@ -14,11 +14,12 @@ package vex
 //     micro-op code (UBinTC = "binop of a temp and a constant"), so the
 //     engine reads operands with direct indexed loads instead of a
 //     per-operand kind switch;
-//   - operation dispatch: binary and unary operations are bound to funcs
-//     from the op tables (binFns/unFns) instead of going through the
-//     EvalBinop switch on every execution;
-//   - dirty-call arguments: helper arguments are pre-resolved into CArg
-//     descriptors and the helper func pointer is carried on the op;
+//   - operation dispatch: binary and unary operations index the op tables
+//     (binFns/unFns) by their Op instead of going through the EvalBinop
+//     switch on every execution;
+//   - dirty calls: helper arguments are pre-resolved into CArg descriptors
+//     in a per-block side table (Compiled.Dirty) that the micro-op indexes,
+//     so a micro-op holds no pointer at all;
 //   - constant folding of anything Optimize left behind (NoOptimize mode,
 //     tool-inserted IR): const⊕const binops, const unops and never-taken
 //     exits disappear here;
@@ -32,17 +33,18 @@ package vex
 
 import "fmt"
 
-// BinFn is a pre-bound binary operation (an entry of the op table).
+// BinFn is a binary operation (an entry of the op table).
 type BinFn func(a, b uint64) uint64
 
-// UnFn is a pre-bound unary operation.
+// UnFn is a unary operation.
 type UnFn func(a uint64) uint64
 
 // binFns is the binary op table. Entries must agree bit-for-bit with
-// EvalBinop (property-tested in compile_test.go); the table exists so a
-// compiled micro-op carries one direct func instead of re-entering the
-// switch per execution.
-var binFns = [...]BinFn{
+// EvalBinop (property-tested in compile_test.go); the table exists so the
+// engines make one indexed call instead of re-entering the switch per
+// execution. Sized [256] so indexing by an Op (a uint8) needs no bounds
+// check; entries for non-binary ops are nil.
+var binFns = [256]BinFn{
 	OpAdd: func(a, b uint64) uint64 { return a + b },
 	OpSub: func(a, b uint64) uint64 { return a - b },
 	OpMul: func(a, b uint64) uint64 { return a * b },
@@ -79,30 +81,20 @@ var binFns = [...]BinFn{
 	OpFCmpEQ: func(a, b uint64) uint64 { return b2u(u2f(a) == u2f(b)) },
 }
 
-// unFns is the unary op table.
-var unFns = [...]UnFn{
+// unFns is the unary op table, sized like binFns.
+var unFns = [256]UnFn{
 	OpNot:  func(a uint64) uint64 { return ^a },
 	OpNeg:  func(a uint64) uint64 { return -a },
 	OpItoF: func(a uint64) uint64 { return f2u(float64(int64(a))) },
 	OpFtoI: func(a uint64) uint64 { return uint64(int64(u2f(a))) },
 }
 
-// BinopFn returns the pre-bound func for a binary operation, or nil when op
+// BinopFn returns the op-table func for a binary operation, or nil when op
 // is not binary.
-func BinopFn(op Op) BinFn {
-	if int(op) < len(binFns) {
-		return binFns[op]
-	}
-	return nil
-}
+func BinopFn(op Op) BinFn { return binFns[op] }
 
-// UnopFn returns the pre-bound func for a unary operation, or nil.
-func UnopFn(op Op) UnFn {
-	if int(op) < len(unFns) {
-		return unFns[op]
-	}
-	return nil
-}
+// UnopFn returns the op-table func for a unary operation, or nil.
+func UnopFn(op Op) UnFn { return unFns[op] }
 
 // UCode is a micro-op code: the statement kind fused with the pre-resolved
 // operand kinds (T = temp, C = constant, R = guest register).
@@ -121,9 +113,10 @@ const (
 	UPutC
 	UPutT
 	UPutR
-	// Binops: tmps[Dst] = Fn(x, y); the code names the operand sources in
-	// order (first operand, second operand). The constant operand, when
-	// present, is Imm. Const⊕const is folded at compile time.
+	// Binops: tmps[Dst] = BinopFn(Op)(x, y); the code names the operand
+	// sources in order (first operand, second operand). The constant
+	// operand, when present, is Imm. Const⊕const is folded at compile
+	// time.
 	UBinTT
 	UBinTC
 	UBinTR
@@ -132,7 +125,8 @@ const (
 	UBinRT
 	UBinRC
 	UBinRR
-	// Unops: tmps[Dst] = Fn1(x). Const operands fold at compile time.
+	// Unops: tmps[Dst] = UnopFn(Op)(x). Const operands fold at compile
+	// time.
 	UUnT
 	UUnR
 	// Loads: tmps[Dst] = LD[Wd](addr).
@@ -158,7 +152,7 @@ const (
 	// UJmp: unconditional goto Imm (a compile-time always-taken exit).
 	// Dst carries the retired-instruction count like the exits.
 	UJmp
-	// UDirty: helper call with pre-resolved arguments.
+	// UDirty: helper call; A indexes Compiled.Dirty.
 	UDirty
 
 	// Fused micro-ops. The peephole pass in Compile merges the multi-op
@@ -167,8 +161,8 @@ const (
 	// one dispatch. These carry the same semantics as the sequences they
 	// replace, executed atomically within the op.
 
-	// UPutBin**: regs[Dst] = Fn(x, y) — a binop whose single-use result
-	// temp fed a register write. Operand sources mirror UBin**.
+	// UPutBin**: regs[Dst] = BinopFn(Op)(x, y) — a binop whose single-use
+	// result temp fed a register write. Operand sources mirror UBin**.
 	UPutBinTT
 	UPutBinTC
 	UPutBinTR
@@ -177,7 +171,7 @@ const (
 	UPutBinRT
 	UPutBinRC
 	UPutBinRR
-	// UPutUnT/UPutUnR: regs[Dst] = Fn1(x).
+	// UPutUnT/UPutUnR: regs[Dst] = UnopFn(Op)(x).
 	UPutUnT
 	UPutUnR
 	// ULdPRI: regs[Dst] = LD[Wd](regs[A] + Imm) — the full base+offset
@@ -188,8 +182,8 @@ const (
 	// UStRIR/UStRIT: ST[Wd](regs[A] + Imm) = regs[B] / tmps[B].
 	UStRIR
 	UStRIT
-	// UExitBin**: if Fn(x, y) != 0 goto Imm — a compare feeding a
-	// conditional exit. Only non-const operand shapes exist (a const
+	// UExitBin**: if BinopFn(Op)(x, y) != 0 goto Imm — a compare feeding
+	// a conditional exit. Only non-const operand shapes exist (a const
 	// operand would need a second immediate). Dst carries the retired-
 	// instruction count like plain exits.
 	UExitBinTT
@@ -203,33 +197,26 @@ const NoChain int32 = -1
 
 // UOp is one pre-lowered micro-op. Field use depends on Code; unused fields
 // are zero. Imm doubles as the constant operand, the IMark address and the
-// jump target — no code uses two of those at once.
+// jump target — no code uses two of those at once. A UOp holds no pointer
+// (32 bytes), so a micro-op array is plain data the GC never scans and any
+// core can execute as is.
 type UOp struct {
 	Code UCode
 	Wd   uint8
-	// Op is the IR operation a binop or unop micro-op was lowered from. The
-	// engine never reads it (Fn/Fn1 are pre-bound); the peephole fuser uses
-	// it to recognize address arithmetic (func values are not comparable),
-	// and the translation store's decoder uses it to re-bind Fn/Fn1 from the
-	// op tables after deserialization. Every op-table micro-op must carry it.
+	// Op is the IR operation a binop or unop micro-op was lowered from; the
+	// engines index the op tables with it.
 	Op       Op
 	Dst      uint32
 	A, B     uint32
 	ChainIdx int32
 	Imm      uint64
-	Fn       BinFn
-	Fn1      UnFn
-	Dirty    *DirtyOp
 }
 
-// DirtyOp is the pre-bound form of a Dirty helper call.
+// DirtyOp is the lowered form of a Dirty helper call.
 type DirtyOp struct {
-	Name string
-	Fn   DirtyFn
-	Args []CArg
-	// Meta carries the helper's serializable parameters from the source
-	// Stmt, so a deserialized or cross-core-adopted block can re-bind an
-	// equivalent helper (the closure in Fn is bound to one core).
+	HelperID HelperID
+	Args     []CArg
+	// Meta is the source Stmt's translation-time helper parameters.
 	Meta []uint64
 	// Tmp is the result temp; HasTmp false means the result is dropped.
 	Tmp    uint32
@@ -255,6 +242,9 @@ type Compiled struct {
 	GuestAddr uint64
 	// Ops is the micro-op array.
 	Ops []UOp
+	// Dirty is the dirty-call side table: UDirty micro-op i calls
+	// Dirty[Ops[i].A].
+	Dirty []DirtyOp
 	// PCs[i] is the guest PC of the instruction op i belongs to, and
 	// ICs[i] the number of guest instructions started up to and including
 	// that op. Both are fault-path-only: the engine reads them when a
@@ -447,10 +437,7 @@ func Compile(sb *SuperBlock) (*Compiled, error) {
 				cc.emit(UOp{Code: UExitR, A: idx, Dst: cc.ic, Imm: s.Target, ChainIdx: cc.newChain()})
 			}
 		case SDirty:
-			if s.Fn == nil {
-				return nil, fmt.Errorf("vex: compile: dirty %q has nil helper", s.Name)
-			}
-			d := &DirtyOp{Name: s.Name, Fn: s.Fn, Args: make([]CArg, len(s.Args)),
+			d := DirtyOp{HelperID: s.HelperID, Args: make([]CArg, len(s.Args)),
 				Meta: s.Meta, InstrsBefore: cc.ic}
 			for j, a := range s.Args {
 				k, idx, imm := src(a)
@@ -460,7 +447,8 @@ func Compile(sb *SuperBlock) (*Compiled, error) {
 				d.Tmp = uint32(s.Tmp)
 				d.HasTmp = true
 			}
-			cc.emit(UOp{Code: UDirty, Dirty: d})
+			cc.emit(UOp{Code: UDirty, A: uint32(len(out.Dirty))})
+			out.Dirty = append(out.Dirty, d)
 		default:
 			return nil, fmt.Errorf("vex: compile: unknown statement kind %d", s.Kind)
 		}
@@ -559,7 +547,7 @@ func (cc *compiler) fuse() {
 					ec = UExitBinRR
 				}
 				if ec != 0 {
-					fused = UOp{Code: ec, A: u.A, B: u.B, Fn: u.Fn, Op: u.Op,
+					fused = UOp{Code: ec, A: u.A, B: u.B, Op: u.Op,
 						Dst: v.Dst, Imm: v.Imm, ChainIdx: v.ChainIdx}
 					n = 2
 				}
@@ -572,7 +560,7 @@ func (cc *compiler) fuse() {
 				if u.Code == UUnR {
 					code = UPutUnR
 				}
-				fused = UOp{Code: code, Dst: v.Dst, A: u.A, Fn1: u.Fn1, Op: u.Op}
+				fused = UOp{Code: code, Dst: v.Dst, A: u.A, Op: u.Op}
 				n = 2
 			}
 		}
@@ -607,8 +595,7 @@ func (cc *compiler) compileMov(dst uint32, e Expr) {
 
 // compileBinop lowers t = op(a, b), folding const⊕const.
 func (cc *compiler) compileBinop(s *Stmt) error {
-	fn := BinopFn(s.Op)
-	if fn == nil || s.Op.IsUnary() {
+	if BinopFn(s.Op) == nil {
 		return fmt.Errorf("vex: compile: bad binary op %s", s.Op)
 	}
 	ka, ia, ca := src(s.E1)
@@ -618,7 +605,7 @@ func (cc *compiler) compileBinop(s *Stmt) error {
 		cc.emit(UOp{Code: UMovC, Dst: dst, Imm: EvalBinop(s.Op, ca, cb)})
 		return nil
 	}
-	u := UOp{Dst: dst, Fn: fn, A: ia, B: ib, Imm: ca | cb, Op: s.Op}
+	u := UOp{Dst: dst, A: ia, B: ib, Imm: ca | cb, Op: s.Op}
 	switch {
 	case ka == KindRdTmp && kb == KindRdTmp:
 		u.Code = UBinTT
@@ -643,8 +630,7 @@ func (cc *compiler) compileBinop(s *Stmt) error {
 
 // compileUnop lowers t = op(a), folding const operands.
 func (cc *compiler) compileUnop(s *Stmt) error {
-	fn := UnopFn(s.Op)
-	if fn == nil || !s.Op.IsUnary() {
+	if UnopFn(s.Op) == nil {
 		return fmt.Errorf("vex: compile: bad unary op %s", s.Op)
 	}
 	k, idx, imm := src(s.E1)
@@ -653,9 +639,9 @@ func (cc *compiler) compileUnop(s *Stmt) error {
 	case KindConst:
 		cc.emit(UOp{Code: UMovC, Dst: dst, Imm: EvalUnop(s.Op, imm)})
 	case KindRdTmp:
-		cc.emit(UOp{Code: UUnT, Dst: dst, A: idx, Fn1: fn, Op: s.Op})
+		cc.emit(UOp{Code: UUnT, Dst: dst, A: idx, Op: s.Op})
 	default:
-		cc.emit(UOp{Code: UUnR, Dst: dst, A: idx, Fn1: fn, Op: s.Op})
+		cc.emit(UOp{Code: UUnR, Dst: dst, A: idx, Op: s.Op})
 	}
 	return nil
 }

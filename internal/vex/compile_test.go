@@ -2,9 +2,11 @@ package vex
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // binOps and unOps enumerate the full Op space for the table tests.
@@ -176,24 +178,30 @@ func TestCompileScratchStore(t *testing.T) {
 }
 
 func TestCompileDirtyPrebinding(t *testing.T) {
-	fn := func(_ any, args []uint64) uint64 { return 99 }
 	sb := &SuperBlock{GuestAddr: 0x1000}
 	tv := sb.WrTmpExpr(ConstE(11))
-	res := sb.NewTemp()
-	sb.Append(Stmt{Kind: SDirty, Tmp: res, Name: "helper", Fn: fn,
-		Args: []Expr{ConstE(7), TmpE(tv), RegE(3)}})
+	sb.Dirty(HelperFlush, []uint64{0x1000, 8}, TmpE(tv))
+	res := sb.DirtyTmp(3, []uint64{42}, ConstE(7), TmpE(tv), RegE(3))
 	sb.Next = ConstE(0x1008)
 	c, err := Compile(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d *DirtyOp
+	// Each UDirty op indexes its own side-table entry, in statement order.
+	var idx []uint32
 	for _, u := range c.Ops {
 		if u.Code == UDirty {
-			d = u.Dirty
+			idx = append(idx, u.A)
 		}
 	}
-	if d == nil || d.Name != "helper" || !d.HasTmp || d.Tmp != uint32(res) {
+	if len(idx) != 2 || idx[0] != 0 || idx[1] != 1 || len(c.Dirty) != 2 {
+		t.Fatalf("dirty ops index %v into a %d-entry side table", idx, len(c.Dirty))
+	}
+	if d := c.Dirty[0]; d.HelperID != HelperFlush || d.HasTmp || len(d.Meta) != 2 {
+		t.Fatalf("bad flush op: %+v", d)
+	}
+	d := c.Dirty[1]
+	if d.HelperID != 3 || !d.HasTmp || d.Tmp != uint32(res) || len(d.Meta) != 1 || d.Meta[0] != 42 {
 		t.Fatalf("bad dirty op: %+v", d)
 	}
 	want := []CArg{
@@ -211,20 +219,41 @@ func TestCompileDirtyPrebinding(t *testing.T) {
 	}
 }
 
-func TestCompileRejectsNilDirty(t *testing.T) {
-	sb := &SuperBlock{GuestAddr: 0x1000}
-	sb.Append(Stmt{Kind: SDirty, Tmp: NoTemp, Name: "broken"})
-	sb.Next = ConstE(0)
-	if _, err := Compile(sb); err == nil || !strings.Contains(err.Error(), "nil helper") {
-		t.Fatalf("want nil-helper error, got %v", err)
-	}
-}
-
 func TestCompileRejectsUnknownStmt(t *testing.T) {
 	sb := &SuperBlock{GuestAddr: 0x1000}
 	sb.Append(Stmt{Kind: StmtKind(200)})
 	sb.Next = ConstE(0)
 	if _, err := Compile(sb); err == nil || !strings.Contains(err.Error(), "unknown statement") {
 		t.Fatalf("want unknown-statement error, got %v", err)
+	}
+}
+
+// TestUOpIsPlainData pins the micro-op layout: no field may hold a pointer
+// (func values, slices, strings and interfaces included), so a []UOp is
+// plain data the GC never scans and every core can share, at 32 bytes.
+func TestUOpIsPlainData(t *testing.T) {
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+			return true
+		case reflect.Array:
+			return pointerFree(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if !pointerFree(typ.Field(i).Type) {
+					t.Errorf("UOp field %s (%s) holds a pointer", typ.Field(i).Name, typ.Field(i).Type)
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	pointerFree(reflect.TypeOf(UOp{}))
+	if n := unsafe.Sizeof(UOp{}); n != 32 {
+		t.Errorf("sizeof(UOp) = %d bytes, want 32", n)
 	}
 }

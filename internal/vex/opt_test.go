@@ -41,7 +41,7 @@ func TestOptimizePreservesSideEffects(t *testing.T) {
 	addr := sb.WrTmpBinop(OpAdd, ConstE(0x2000), ConstE(8))
 	v := sb.WrTmpLoad(W64, TmpE(addr))
 	sb.Store(W64, ConstE(0x3000), TmpE(v))
-	sb.Dirty("probe", func(any, []uint64) uint64 { return 0 }, TmpE(addr))
+	sb.Dirty(1, nil, TmpE(addr))
 	sb.Exit(ConstE(0), 0x4000, JKBoring)
 	sb.Next = ConstE(0x1008)
 

@@ -157,9 +157,9 @@ const (
 	SPutReg
 	// SExit conditionally leaves the block: if (guard) goto Target.
 	SExit
-	// SDirty calls a helper function with arbitrary side effects. Tools
-	// inject these for instrumentation; the translator emits them for
-	// host calls and client requests.
+	// SDirty calls a helper function with arbitrary side effects. Only
+	// tools inject these, for instrumentation: the translator never emits
+	// them (host calls and client requests are block-terminal jump kinds).
 	SDirty
 )
 
@@ -177,8 +177,8 @@ type Stmt struct {
 	// Operands. SWrTmpExpr uses E1. SWrTmpBinop uses Op, E1, E2.
 	// SWrTmpUnop uses Op, E1. SWrTmpLoad uses Wd, E1 (address).
 	// SStore uses Wd, E1 (address), E2 (data). SPutReg uses Reg, E1.
-	// SExit uses E1 (guard), Target. SDirty uses Fn, Args, and Tmp as
-	// the optional result temp (NoTemp when unused).
+	// SExit uses E1 (guard), Target. SDirty uses HelperID, Args, Meta, and
+	// Tmp as the optional result temp (NoTemp when unused).
 	Op     Op
 	Wd     Width
 	E1, E2 Expr
@@ -188,25 +188,27 @@ type Stmt struct {
 	Target uint64
 	JK     JumpKind
 
-	// SDirty: helper index into the machine's dirty-helper table plus
-	// argument expressions. Meta carries the helper's serializable
-	// parameters: a closure bound to one core cannot cross core or process
-	// boundaries, but (Name, Meta, Args) can, letting an adopting core
-	// rebind an equivalent helper of its own (see the translation store).
-	Fn   DirtyFn
-	Name string
-	Args []Expr
-	Meta []uint64
+	// SDirty: index into the executing core's helper table, the argument
+	// expressions (evaluated at run time) and Meta, the helper's
+	// translation-time parameters. All three are plain data, so one
+	// instrumented block runs unchanged on any core carrying the same tool.
+	HelperID HelperID
+	Args     []Expr
+	Meta     []uint64
 }
 
 // NoTemp marks an unused result temp on a Dirty statement.
 const NoTemp Temp = ^Temp(0)
 
-// DirtyFn is a helper called from IR execution. The ctx argument is the
-// executing thread (opaque here to avoid an import cycle; the dbi package
-// asserts it back). It returns a value stored into the statement's result
-// temp, if any.
-type DirtyFn func(ctx any, args []uint64) uint64
+// HelperID names a dirty helper: an index into the helper table of the core
+// executing the block. The table is per tool type, so an ID means the same
+// helper on every core that carries the tool.
+type HelperID uint32
+
+// HelperFlush is the ID every core reserves for its batched access-delivery
+// helper. Its Meta holds two words per argument: the access's guest PC,
+// then its width with the store bit (1<<8) set for writes.
+const HelperFlush HelperID = 0
 
 // JumpKind classifies how a block (or Exit) transfers control, mirroring
 // VEX's IRJumpKind.
@@ -319,14 +321,14 @@ func (sb *SuperBlock) Exit(guard Expr, target uint64, jk JumpKind) {
 }
 
 // Dirty appends a helper call with no result.
-func (sb *SuperBlock) Dirty(name string, fn DirtyFn, args ...Expr) {
-	sb.Append(Stmt{Kind: SDirty, Tmp: NoTemp, Name: name, Fn: fn, Args: args})
+func (sb *SuperBlock) Dirty(id HelperID, meta []uint64, args ...Expr) {
+	sb.Append(Stmt{Kind: SDirty, Tmp: NoTemp, HelperID: id, Meta: meta, Args: args})
 }
 
 // DirtyTmp appends a helper call whose result is stored in a fresh temp.
-func (sb *SuperBlock) DirtyTmp(name string, fn DirtyFn, args ...Expr) Temp {
+func (sb *SuperBlock) DirtyTmp(id HelperID, meta []uint64, args ...Expr) Temp {
 	t := sb.NewTemp()
-	sb.Append(Stmt{Kind: SDirty, Tmp: t, Name: name, Fn: fn, Args: args})
+	sb.Append(Stmt{Kind: SDirty, Tmp: t, HelperID: id, Meta: meta, Args: args})
 	return t
 }
 
@@ -354,7 +356,7 @@ func (s Stmt) String() string {
 		if s.Tmp != NoTemp {
 			fmt.Fprintf(&b, "t%d = ", s.Tmp)
 		}
-		fmt.Fprintf(&b, "DIRTY %s(", s.Name)
+		fmt.Fprintf(&b, "DIRTY h%d(", s.HelperID)
 		for i, a := range s.Args {
 			if i > 0 {
 				b.WriteString(",")
@@ -442,9 +444,6 @@ func (sb *SuperBlock) Validate() error {
 			}
 			if err == nil && s.Tmp != NoTemp {
 				err = checkWrite(s.Tmp)
-			}
-			if err == nil && s.Fn == nil {
-				err = fmt.Errorf("vex: dirty %q has nil helper", s.Name)
 			}
 		default:
 			err = fmt.Errorf("vex: unknown statement kind %d", s.Kind)

@@ -48,15 +48,6 @@ func TestValidateRejectsOutOfRangeTemp(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsNilDirty(t *testing.T) {
-	sb := &SuperBlock{GuestAddr: 0x1000}
-	sb.Append(Stmt{Kind: SDirty, Tmp: NoTemp, Name: "x"})
-	sb.Next = ConstE(0)
-	if err := sb.Validate(); err == nil || !strings.Contains(err.Error(), "nil helper") {
-		t.Fatalf("want nil-helper error, got %v", err)
-	}
-}
-
 func neg(v int64) uint64 { return uint64(-v) }
 
 func TestEvalBinopIntegerLaws(t *testing.T) {
@@ -156,10 +147,10 @@ func TestStringRendering(t *testing.T) {
 	sb.IMark(0x1000, 8)
 	a := sb.WrTmpLoad(W32, ConstE(0x2000))
 	sb.Store(W32, ConstE(0x2004), TmpE(a))
-	sb.Dirty("trace", func(any, []uint64) uint64 { return 0 }, TmpE(a))
+	sb.Dirty(2, nil, TmpE(a))
 	sb.Next = ConstE(0x1008)
 	s := sb.String()
-	for _, want := range []string{"IMark(0x1000", "LD32", "ST32", "DIRTY trace"} {
+	for _, want := range []string{"IMark(0x1000", "LD32", "ST32", "DIRTY h2(t0)"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("rendering missing %q in:\n%s", want, s)
 		}
