@@ -50,7 +50,7 @@ replay-determinism:
 # Translation-store equivalence gate: the tstore unit suite (encode
 # roundtrips, persistent-tier invalidation, torn-tail recovery) under -race,
 # plus the store-equivalence differential smoke — cold vs warm vs
-# pretranslated runs bit-identical on both engines, the crash-report and
+# disk-warm runs bit-identical on both engines, the crash-report and
 # invalidation cases, the 16-worker shared-store race test and the sweep
 # amortization counter check. Fresh run (-count=1) so the gate never passes
 # on a cached result.
@@ -132,10 +132,12 @@ loadtest:
 
 # Record-and-query smoke: a short sweep into a throwaway store, then every
 # query verb against it. Exercises the CLI end to end, including the golden
-# and cross-seed-aggregation acceptance tests. Fresh run (-count=1) so the
-# gate never passes on a cached result.
+# and cross-seed-aggregation acceptance tests, plus the -trace checks: a
+# traced run matches the untraced one under every tool, and its chart is
+# byte-identical to `query gantt` over the same run. Fresh run (-count=1)
+# so the gate never passes on a cached result.
 query-smoke:
-	$(GO) test -count=1 -run 'TestQueryGolden|TestQueryCLISmoke|TestExploreRecordAggBitIdentical' ./cmd/taskgrind
+	$(GO) test -count=1 -run 'TestQueryGolden|TestQueryCLISmoke|TestExploreRecordAggBitIdentical|TestTraceDoesNotChangeRun|TestTraceMatchesQueryGantt' ./cmd/taskgrind
 
 # Regression guards: re-measures the compiled engine's hot ns/block (fails
 # on >20% regression), the ckpt-16 checkpoint overhead ratio (fails at

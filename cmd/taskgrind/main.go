@@ -74,13 +74,12 @@ func main() {
 		tcacheDir      = flag.String("tcache-dir", "", "persistent translation store directory, shared safely by concurrent processes: instrumented+compiled translations are saved per (image,tool,engine,extend,delivery) and reused across runs")
 		tcacheMaxMB    = flag.Int64("tcache-max-mb", 0, "translation store byte cap in MiB (0 = unbounded); clock eviction keeps the cache under it")
 		tcacheMaxUnits = flag.Int64("tcache-max-units", 0, "translation store unit cap (0 = unbounded); clock eviction keeps the cache under it")
-		pretranslate   = flag.Bool("pretranslate", false, "translate statically reachable blocks ahead of execution on spare cores (implies an in-memory translation store)")
-		threads  = flag.Int("threads", 4, "OMP_NUM_THREADS")
-		seed     = flag.Uint64("seed", 1, "scheduler seed")
-		list     = flag.Bool("list", false, "list available programs")
-		verbose  = flag.Bool("v", false, "print run statistics")
-		dotFile  = flag.String("dot", "", "write the segment graph (Graphviz DOT) to this file (taskgrind tools only)")
-		gantt    = flag.Bool("trace", false, "print a task-schedule Gantt chart after the run")
+		threads        = flag.Int("threads", 4, "OMP_NUM_THREADS")
+		seed           = flag.Uint64("seed", 1, "scheduler seed")
+		list           = flag.Bool("list", false, "list available programs")
+		verbose        = flag.Bool("v", false, "print run statistics")
+		dotFile        = flag.String("dot", "", "write the segment graph (Graphviz DOT) to this file (taskgrind tools only)")
+		gantt          = flag.Bool("trace", false, "print a task-schedule Gantt chart after the run")
 		// Observability outputs.
 		metricsFile  = flag.String("metrics", "", "write a metrics snapshot (JSON) to this file")
 		recordDir    = flag.String("record", "", "append this run (spans, instants, profile samples, counters, verdict) to a run store directory (query with `taskgrind query`)")
@@ -219,17 +218,17 @@ func main() {
 		}
 	}
 	var tcache *tstore.Cache
-	if *tcacheDir != "" || *pretranslate {
+	if *tcacheDir != "" {
 		opts := tstore.Options{
 			Dir:      *tcacheDir,
 			MaxBytes: *tcacheMaxMB << 20,
 			MaxUnits: *tcacheMaxUnits,
 		}
 		// Storage faults get their own injector instance: the run injector
-		// is rebuilt per supervision attempt, while disk I/O (pretranslate
-		// workers, merges, the final save) spans attempts. Same seed, same
-		// deterministic streams — the storage kinds just never alias an
-		// attempt's guest-visible draws.
+		// is rebuilt per supervision attempt, while disk I/O (merges, the
+		// final save) spans attempts. Same seed, same deterministic
+		// streams — the storage kinds just never alias an attempt's
+		// guest-visible draws.
 		if *inject != "" {
 			sin, _ := faultinject.ParseSpec(*inject, *injectSeed)
 			opts.FS = &tstore.FaultFS{In: sin}
@@ -244,7 +243,7 @@ func main() {
 	var (
 		tl     dbi.Tool
 		count  func() int
-		rec    *trace.Recorder
+		spans  []store.Span
 		hooks  *obs.Hooks
 		reg    *obs.Registry
 		tracer *obs.Tracer
@@ -259,19 +258,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rec = nil
-		if *gantt {
-			rec = trace.New()
-			if tl != nil {
-				tl = trace.Tee{A: tl, B: rec}
-			} else {
-				tl = rec
-			}
-		}
 		// Assemble the observability hooks. Nil hooks keep every
 		// instrumented hot path on its one-pointer-compare fast path.
-		hooks, reg, tracer, prof = nil, nil, nil, nil
-		if *verbose || *metricsFile != "" || *traceOut != "" || *profileFile != "" || storeW != nil {
+		hooks, reg, tracer, prof, spans = nil, nil, nil, nil, nil
+		if *verbose || *metricsFile != "" || *traceOut != "" || *profileFile != "" || storeW != nil || *gantt {
 			hooks = &obs.Hooks{}
 			if *verbose || *metricsFile != "" || storeW != nil {
 				reg = obs.NewRegistry()
@@ -304,6 +294,14 @@ func main() {
 				ssink.SymFn = symOf
 				sinks = append(sinks, ssink)
 			}
+			if *gantt {
+				// The chart pairs the same task events the run store
+				// records, so it matches `taskgrind query gantt`.
+				sinks = append(sinks, &store.SpanSink{
+					SymFn: symOf,
+					Emit:  func(sp store.Span) { spans = append(spans, sp) },
+				})
+			}
 			if len(sinks) > 0 {
 				tracer = obs.NewTracer(sinks...)
 				tracer.BlockEvents = *traceBlocks
@@ -334,14 +332,6 @@ func main() {
 			ReplayToken: token,
 			RunOpts:     vm.RunOpts{MaxBlocks: *maxBlocks, MaxInstrs: *maxInstrs, Timeout: *timeout},
 			TStore:      tcache,
-			// Pipeline workers instrument with plain tool instances; the
-			// -trace Tee adds no IR of its own, so their translations are
-			// exactly what the wrapped tool would produce.
-			Pretranslate: *pretranslate,
-			NewTool: func() dbi.Tool {
-				t, _, _ := toolreg.Make(*tool)
-				return t
-			},
 		}
 	}
 	start := time.Now()
@@ -372,17 +362,10 @@ func main() {
 		res = inst.Run()
 	}
 	if tcache != nil {
-		// Let the pipeline drain before persisting, so the saved tier
-		// carries everything it translated, then write the warm start for
-		// the next run. Runs on every exit path below (none return early
-		// before this point).
-		if inst.Pretrans != nil {
-			inst.Pretrans.Wait()
-		}
-		if *tcacheDir != "" {
-			if serr := tcache.Save(); serr != nil {
-				fmt.Fprintf(os.Stderr, "==taskgrind== tcache save: %v\n", serr)
-			}
+		// Write the warm start for the next run. Runs on every exit path
+		// below (none return early before this point).
+		if serr := tcache.Save(); serr != nil {
+			fmt.Fprintf(os.Stderr, "==taskgrind== tcache save: %v\n", serr)
 		}
 	}
 	injector := inj
@@ -411,11 +394,7 @@ func main() {
 		srw.SetCounters(reg.Snapshot().Counters)
 		srw.SetWork(res.GuestInstrs, inst.M.BlocksExecuted, uint64(res.Wall))
 		srw.SetReplayToken(token)
-		t := tl
-		if tee, ok := t.(trace.Tee); ok {
-			t = tee.A
-		}
-		if tg, ok := t.(*core.Taskgrind); ok {
+		if tg, ok := tl.(*core.Taskgrind); ok {
 			for _, row := range store.RacesFromSet(&tg.Reports) {
 				srw.AddRace(row)
 			}
@@ -486,16 +465,7 @@ func main() {
 		}
 		pf.Close()
 	}
-	if rec != nil {
-		fmt.Println("== task schedule (block time) ==")
-		if err := rec.Gantt(os.Stdout, 72); err != nil {
-			fatal(err)
-		}
-	}
 	// Render tool reports.
-	if tee, ok := tl.(trace.Tee); ok {
-		tl = tee.A
-	}
 	if tt, ok := tl.(*core.Taskgrind); ok && *dotFile != "" {
 		df, derr := os.Create(*dotFile)
 		if derr != nil {
@@ -511,6 +481,13 @@ func main() {
 		fmt.Print(text)
 	} else {
 		fmt.Printf("== %d report(s)\n", count())
+	}
+	if *gantt {
+		fmt.Println("== task schedule (block time) ==")
+		store.SortSpans(spans)
+		if err := trace.Gantt(os.Stdout, trace.TaskSpans(spans), 72); err != nil {
+			fatal(err)
+		}
 	}
 	if count() > 0 {
 		os.Exit(1)

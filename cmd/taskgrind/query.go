@@ -126,7 +126,7 @@ func runQuery(args []string, stdout io.Writer) {
 		if err != nil {
 			fatal(err)
 		}
-		if err := trace.Gantt(stdout, ganttSpans(spans), *width); err != nil {
+		if err := trace.Gantt(stdout, trace.TaskSpans(spans), *width); err != nil {
 			fatal(err)
 		}
 	default:
@@ -143,39 +143,6 @@ func writeJSONL(w io.Writer, n int, get func(i int) any) {
 			fatal(err)
 		}
 	}
-}
-
-// ganttSpans maps recorded task-like spans onto the trace renderer's span
-// type, synthesizing stable glyph IDs from the span labels.
-func ganttSpans(spans []store.Span) []trace.Span {
-	ids := map[string]uint64{}
-	var out []trace.Span
-	for _, s := range spans {
-		if s.Kind != "task" && s.Kind != "implicit" && s.Kind != "parallel" {
-			continue
-		}
-		key := s.Name
-		if key == "" {
-			key = s.Kind
-		}
-		id, ok := ids[key]
-		if !ok {
-			id = uint64(len(ids) + 1)
-			ids[key] = id
-		}
-		label := s.Sym
-		if label == "" && s.Kind != "implicit" {
-			label = key
-		}
-		if s.Kind == "implicit" {
-			label = "implicit"
-		}
-		out = append(out, trace.Span{
-			Thread: s.Thread, TaskID: id, Label: label,
-			Start: s.Start, End: s.End,
-		})
-	}
-	return out
 }
 
 // printAgg renders the cross-seed aggregation: the reconstructed sweep

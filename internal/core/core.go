@@ -392,7 +392,7 @@ func (tg *Taskgrind) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock
 	if tg.symFiltered(symName) {
 		return sb
 	}
-	out, loads, stores := c.InstrumentAccesses(sb, tg)
+	out, loads, stores := c.InstrumentAccesses(sb)
 	tg.Stats.InstrumentedLoads += loads
 	tg.Stats.InstrumentedStores += stores
 	return out

@@ -6,8 +6,8 @@ package dbi
 // A translation unit is plain data: a dirty call names its helper by index
 // into the executing core's helper table (see Helper), and a micro-op holds
 // no pointer at all. A core therefore attaches a published unit by
-// reference — the same SuperBlock and Compiled the publishing core, the
-// pretranslation pipeline or the disk decoder built — and only replays the
+// reference — the same SuperBlock and Compiled the publishing core or the
+// disk decoder built — and only replays the
 // translation-time bookkeeping. Units are immutable once published, so the
 // sharing needs no copy and no lock.
 
@@ -36,9 +36,7 @@ func (c *Core) sharedPut(addr uint64, sb *vex.SuperBlock, seams int) {
 	if !c.storeActive() {
 		return
 	}
-	c.Shared.Put(&tstore.Unit{
-		Addr: addr, SB: sb, Seams: seams, Pretranslated: c.pretranslating,
-	})
+	c.Shared.Put(&tstore.Unit{Addr: addr, SB: sb, Seams: seams})
 }
 
 // sharedPutCode attaches a locally compiled form to the block's published
@@ -56,9 +54,6 @@ func (c *Core) sharedPutCode(addr uint64, code *vex.Compiled) {
 func (c *Core) adoptSB(u *tstore.Unit) *vex.SuperBlock {
 	c.cache[u.Addr] = u.SB
 	c.SharedHits++
-	if u.Pretranslated {
-		c.PretranslatedBlocks++
-	}
 	c.ExtendSeams += uint64(u.Seams)
 	c.cacheStmts += uint64(len(u.SB.Stmts))
 	c.histBlockStmts.Observe(float64(len(u.SB.Stmts)))

@@ -134,14 +134,13 @@ func (c *Core) flushAccesses(t *vm.Thread, meta, args []uint64) uint64 {
 }
 
 // InstrumentAccesses rewrites a superblock so every guest load and store is
-// delivered to sink according to the core's Delivery mode, returning the
-// instrumented block and the number of load/store sites instrumented. Tools
-// call it from their Instrument hook instead of inserting one dirty call per
-// access; the result is cached like any instrumented translation. The
-// flushes reach the tool of whichever core executes the block, so sink must
-// be that tool, or the member a multiplexing tool (trace.Tee) forwards
-// them to.
-func (c *Core) InstrumentAccesses(sb *vex.SuperBlock, sink AccessSink) (out *vex.SuperBlock, loads, stores uint64) {
+// delivered to the tool's AccessSink according to the core's Delivery mode,
+// returning the instrumented block and the number of load/store sites
+// instrumented. Tools call it from their Instrument hook instead of
+// inserting one dirty call per access; the result is cached like any
+// instrumented translation. The flushes reach the tool of whichever core
+// executes the block.
+func (c *Core) InstrumentAccesses(sb *vex.SuperBlock) (out *vex.SuperBlock, loads, stores uint64) {
 	out = &vex.SuperBlock{
 		GuestAddr: sb.GuestAddr, NTemps: sb.NTemps,
 		Next: sb.Next, NextJK: sb.NextJK, Aux: sb.Aux,

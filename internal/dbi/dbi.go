@@ -100,9 +100,6 @@ type Core struct {
 	// tool, engine, extend, delivery) universe — the harness derives the
 	// key; see internal/tstore.
 	Shared *tstore.Store
-	// pretranslating marks a throwaway translation-pipeline core: its
-	// published units carry the Pretranslated flag.
-	pretranslating bool
 
 	// ExtendBudget, when positive, enables superblock extension: the
 	// translator follows unconditional direct jumps and keeps decoding
@@ -131,11 +128,8 @@ type Core struct {
 	// CacheMisses == SharedHits + Translations.
 	CacheHits   uint64
 	CacheMisses uint64
-	// SharedHits counts blocks adopted from the shared translation store;
-	// PretranslatedBlocks is the subset published ahead of execution by
-	// the pretranslation pipeline.
-	SharedHits          uint64
-	PretranslatedBlocks uint64
+	// SharedHits counts blocks adopted from the shared translation store.
+	SharedHits uint64
 	// Compiles counts superblocks lowered to micro-ops.
 	Compiles uint64
 	// ChainHits counts dispatches that bypassed translation-cache lookup
@@ -154,9 +148,10 @@ type Core struct {
 	// callback per access (the differential reference). Set before the
 	// first translation.
 	Delivery Delivery
-	// helpers is the dirty-helper table a block's HelperIDs index (see
-	// setTool); sink is the tool's access sink, the target of entry
-	// vex.HelperFlush.
+	// helpers is the dirty-helper table a block's HelperIDs index: entry
+	// vex.HelperFlush is the core's flushAccesses, then the tool's own
+	// (HelperProvider). sink is the tool's access sink, the target of
+	// entry vex.HelperFlush.
 	helpers []Helper
 	sink    AccessSink
 	// batchBuf is the reusable access-batch buffer of flushAccesses (the
@@ -246,10 +241,15 @@ type CompileTimeTool interface {
 func New(m *vm.Machine, tool Tool) *Core {
 	c := &Core{
 		M:      m,
+		tool:   tool,
 		cache:  make(map[uint64]*vex.SuperBlock),
 		ccache: make(map[uint64]*centry),
 	}
-	c.setTool(tool)
+	c.sink, _ = tool.(AccessSink)
+	c.helpers = []Helper{vex.HelperFlush: c.flushAccesses}
+	if p, ok := tool.(HelperProvider); ok {
+		c.helpers = append(c.helpers, p.Helpers()...)
+	}
 	if tool != nil {
 		installed := false
 		if ct, ok := tool.(CompileTimeTool); ok {
@@ -276,18 +276,6 @@ func New(m *vm.Machine, tool Tool) *Core {
 		}
 	}
 	return c
-}
-
-// setTool installs the tool and the helper table its instrumentation calls
-// into. Every core that gets a tool goes through here, including the
-// pretranslation workers, which never run Attach.
-func (c *Core) setTool(tool Tool) {
-	c.tool = tool
-	c.sink, _ = tool.(AccessSink)
-	c.helpers = []Helper{vex.HelperFlush: c.flushAccesses}
-	if p, ok := tool.(HelperProvider); ok {
-		c.helpers = append(c.helpers, p.Helpers()...)
-	}
 }
 
 // Tool returns the loaded tool (nil when uninstrumented).

@@ -20,7 +20,7 @@ type countSink struct {
 func (cs *countSink) Name() string { return "countsink" }
 
 func (cs *countSink) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
-	out, _, _ := c.InstrumentAccesses(sb, cs)
+	out, _, _ := c.InstrumentAccesses(sb)
 	return out
 }
 

@@ -35,7 +35,7 @@ type sinkTool struct {
 func (st *sinkTool) Name() string { return "sinklog" }
 
 func (st *sinkTool) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
-	out, _, _ := c.InstrumentAccesses(sb, st)
+	out, _, _ := c.InstrumentAccesses(sb)
 	return out
 }
 

@@ -145,8 +145,8 @@ type Injector struct {
 	sites [numKinds]site
 
 	// storageMu guards the StorageKinds sites, which — unlike every other
-	// kind — are drawn from concurrent contexts (pretranslation workers,
-	// disk merges) via FireStorage.
+	// kind — are drawn from concurrent contexts (runs sharing one
+	// translation store, disk merges) via FireStorage.
 	storageMu sync.Mutex
 
 	// Observe, when set, taps every decision as it is drawn (fired or
@@ -211,8 +211,8 @@ func (in *Injector) Fire(kind Kind) bool {
 
 // FireStorage is Fire for the storage fault kinds. It differs in two ways
 // forced by where storage I/O happens: it is thread-safe (disk reads and
-// appends run on pretranslation workers and merge paths, concurrent with
-// the scheduler loop), and it never enters the replay journal via Observe —
+// appends run on every run sharing the store and on merge paths,
+// concurrent with the scheduler loop), and it never enters the replay journal via Observe —
 // by the degradation invariant a storage fault is guest-invisible (the run
 // merely translates cold), so journaling its stream would only make replay
 // depend on I/O interleaving. OnFire still runs so the tracer sees the

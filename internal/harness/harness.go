@@ -96,15 +96,6 @@ type Setup struct {
 	// Tool.Name(), or "none" uninstrumented). Set it when the same tool
 	// type is configured differently across runs sharing one cache.
 	ToolID string
-	// Pretranslate starts the ahead-of-execution pipeline on the store
-	// before the run: spare cores walk the image's statically reachable
-	// blocks and fill the store while the guest executes. Requires TStore;
-	// instrumented runs also require NewTool (pipeline workers each
-	// instrument with their own tool instance) or the pipeline stays off.
-	Pretranslate bool
-	// NewTool builds a fresh tool instance (same configuration as Tool)
-	// for each pretranslation worker.
-	NewTool func() dbi.Tool
 }
 
 // Instance is a ready-to-run guest machine with all substrates attached.
@@ -124,9 +115,6 @@ type Instance struct {
 	ReplayToken string
 	// Obs echoes Setup.Obs (nil when observability is off).
 	Obs *obs.Hooks
-	// Pretrans is the ahead-of-execution pipeline handle (nil unless
-	// Setup.Pretranslate started one). Wait on it before saving the cache.
-	Pretrans *dbi.Pretranslation
 	// TStore echoes Setup.TStore when the store was attached (nil when the
 	// tool fixes its own engine); CaptureMetrics snapshots its counters.
 	TStore *tstore.Cache
@@ -182,7 +170,7 @@ func New(s Setup) (*Instance, error) {
 				toolID = s.Tool.Name()
 			}
 		}
-		st := s.TStore.Open(tstore.Key{
+		inst.Core.Shared = s.TStore.Open(tstore.Key{
 			Image:    tstore.ImageHash(s.Image),
 			Tool:     toolID,
 			Engine:   engine,
@@ -190,17 +178,7 @@ func New(s Setup) (*Instance, error) {
 			Delivery: s.Delivery.String(),
 			Helpers:  inst.Core.NumHelpers(),
 		})
-		inst.Core.Shared = st
 		inst.TStore = s.TStore
-		// An instrumented pipeline without NewTool would publish
-		// uninstrumented blocks under the instrumented key: refuse.
-		if s.Pretranslate && (s.Tool == nil || s.NewTool != nil) {
-			newTool := s.NewTool
-			if newTool == nil {
-				newTool = func() dbi.Tool { return nil }
-			}
-			inst.Pretrans = dbi.PretranslateAsync(st, s.Image, 0, newTool)
-		}
 	}
 	inst.Lib.Bind(inst.Core)
 	inst.OMP.Attach(m)
@@ -306,7 +284,6 @@ func (inst *Instance) CaptureMetrics(reg *obs.Registry) {
 	reg.Counter("dbi_cache_hits_total").Set(c.CacheHits)
 	reg.Counter("dbi_cache_misses_total").Set(c.CacheMisses)
 	reg.Counter("dbi_shared_hits_total").Set(c.SharedHits)
-	reg.Counter("dbi_pretranslated_blocks_total").Set(c.PretranslatedBlocks)
 	reg.Counter("dbi_cache_stmts").Set(c.CacheStmts())
 	reg.Gauge("dbi_cache_footprint_bytes").Set(float64(c.CacheFootprint()))
 	reg.Counter("dbi_compiles_total").Set(c.Compiles)

@@ -268,12 +268,18 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 
 // WriteText renders "key value" lines sorted by key — the -v statistics
 // dump renders from this same snapshot, so text and JSON cannot disagree.
+// A histogram renders in the Prometheus text form: one cumulative
+// name_bucket{…,le="bound"} line per bound plus le="+Inf", then name_sum
+// and name_count, all sorted under the histogram's own key.
 func (s Snapshot) WriteText(w io.Writer) error {
-	keys := make([]string, 0, len(s.Counters)+len(s.Gauges))
+	keys := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
 	for k := range s.Counters {
 		keys = append(keys, k)
 	}
 	for k := range s.Gauges {
+		keys = append(keys, k)
+	}
+	for k := range s.Histograms {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -281,12 +287,36 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		var err error
 		if v, ok := s.Counters[k]; ok {
 			_, err = fmt.Fprintf(w, "%s %d\n", k, v)
+		} else if v, ok := s.Gauges[k]; ok {
+			_, err = fmt.Fprintf(w, "%s %g\n", k, v)
 		} else {
-			_, err = fmt.Fprintf(w, "%s %g\n", k, s.Gauges[k])
+			err = s.Histograms[k].writeText(w, k)
 		}
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// writeText renders one histogram under key (name plus optional labels).
+func (h HistogramSnapshot) writeText(w io.Writer, key string) error {
+	name, labels := key, ""
+	if i := strings.IndexByte(key, '{'); i >= 0 {
+		name, labels = key[:i], key[i+1:len(key)-1]+","
+	}
+	var cum uint64
+	for i, n := range h.Buckets {
+		cum += n
+		le := "+Inf"
+		if i < len(h.Bounds) {
+			le = fmt.Sprintf("%g", h.Bounds[i])
+		}
+		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, labels, le, cum); err != nil {
+			return err
+		}
+	}
+	tail := key[len(name):] // the label set, "" when unlabelled
+	_, err := fmt.Fprintf(w, "%s_sum%s %g\n%s_count%s %d\n", name, tail, h.Sum, name, tail, h.Count)
+	return err
 }

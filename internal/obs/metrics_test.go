@@ -130,13 +130,45 @@ func TestSnapshotWriteTextSorted(t *testing.T) {
 	r.Counter("zz_total").Add(1)
 	r.Counter("aa_total").Add(2)
 	r.Gauge("mm").Set(3)
+	h := r.Histogram("hh_stmts")
+	for _, v := range []float64{1, 3, 3, 20000} {
+		h.Observe(v)
+	}
+	r.Histogram("hl", "job", "a").Observe(2)
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 || !strings.HasPrefix(lines[0], "aa_total") ||
-		!strings.HasPrefix(lines[1], "mm") || !strings.HasPrefix(lines[2], "zz_total") {
+	nb := len(DefaultBuckets) + 1 // bounds plus +Inf
+	if len(lines) != 3+2*(nb+2) {
+		t.Fatalf("got %d lines, want %d:\n%s", len(lines), 3+2*(nb+2), buf.String())
+	}
+	if !strings.HasPrefix(lines[0], "aa_total ") {
+		t.Fatalf("text dump not sorted: %q", buf.String())
+	}
+	// The histogram follows its key's sort position: cumulative buckets,
+	// then sum and count.
+	hh := lines[1 : 1+nb+2]
+	want := map[int]string{
+		0:      `hh_stmts_bucket{le="1"} 1`,
+		2:      `hh_stmts_bucket{le="4"} 3`,
+		nb - 2: `hh_stmts_bucket{le="16384"} 3`,
+		nb - 1: `hh_stmts_bucket{le="+Inf"} 4`,
+		nb:     `hh_stmts_sum 20007`,
+		nb + 1: `hh_stmts_count 4`,
+	}
+	for i, w := range want {
+		if hh[i] != w {
+			t.Fatalf("histogram line %d = %q, want %q\n%s", i, hh[i], w, buf.String())
+		}
+	}
+	hl := lines[1+nb+2 : 1+2*(nb+2)]
+	if hl[1] != `hl_bucket{job="a",le="2"} 1` || hl[nb] != `hl_sum{job="a"} 2` ||
+		hl[nb+1] != `hl_count{job="a"} 1` {
+		t.Fatalf("labelled histogram:\n%s", strings.Join(hl, "\n"))
+	}
+	if !strings.HasPrefix(lines[len(lines)-2], "mm ") || !strings.HasPrefix(lines[len(lines)-1], "zz_total ") {
 		t.Fatalf("text dump not sorted: %q", buf.String())
 	}
 }

@@ -221,14 +221,14 @@ type rec struct {
 
 // cols is the columnar (struct-of-arrays) builder a batch flushes into.
 type cols struct {
-	spanStart, spanEnd, spanPC    []uint64
-	spanThread                    []int32
-	spanKind, spanName, spanSym   []uint32
-	instTS, instArg               []uint64
-	instThread                    []int32
-	instKind, instName            []uint32
-	samplePC, sampleW             []uint64
-	sampleSym                     []uint32
+	spanStart, spanEnd, spanPC  []uint64
+	spanThread                  []int32
+	spanKind, spanName, spanSym []uint32
+	instTS, instArg             []uint64
+	instThread                  []int32
+	instKind, instName          []uint32
+	samplePC, sampleW           []uint64
+	sampleSym                   []uint32
 }
 
 // RunWriter accumulates one run's records. Adds go to a fixed-size batch (a
@@ -378,6 +378,29 @@ func (rw *RunWriter) Finish() error {
 	return rw.w.appendBlock(payload, meta)
 }
 
+// spanLess is the order a run's spans are stored in, and so the order
+// Reader.Spans returns them in: by start, then end, then thread; the sort
+// is stable, so emission order breaks the remaining ties.
+func spanLess(start1, end1 uint64, thread1 int, start2, end2 uint64, thread2 int) bool {
+	if start1 != start2 {
+		return start1 < start2
+	}
+	if end1 != end2 {
+		return end1 < end2
+	}
+	return thread1 < thread2
+}
+
+// SortSpans sorts spans collected in emission order (a SpanSink's) into
+// stored order, so they read exactly like the same run read back from a
+// store.
+func SortSpans(spans []Span) {
+	sort.SliceStable(spans, func(i, j int) bool {
+		a, b := &spans[i], &spans[j]
+		return spanLess(a.Start, a.End, a.Thread, b.Start, b.End, b.Thread)
+	})
+}
+
 // sortPerm returns indices 0..n-1 ordered by less, stable.
 func sortPerm(n int, less func(i, j int) bool) []int {
 	p := make([]int, n)
@@ -445,13 +468,8 @@ func (rw *RunWriter) encode() ([]byte, BlockMeta, error) {
 	// Spans, sorted by (start, end, thread): starts become non-negative
 	// deltas.
 	sp := sortPerm(len(c.spanStart), func(i, j int) bool {
-		if c.spanStart[i] != c.spanStart[j] {
-			return c.spanStart[i] < c.spanStart[j]
-		}
-		if c.spanEnd[i] != c.spanEnd[j] {
-			return c.spanEnd[i] < c.spanEnd[j]
-		}
-		return c.spanThread[i] < c.spanThread[j]
+		return spanLess(c.spanStart[i], c.spanEnd[i], int(c.spanThread[i]),
+			c.spanStart[j], c.spanEnd[j], int(c.spanThread[j]))
 	})
 	e.u64(uint64(len(sp)))
 	col := func(fill func(e *enc)) {

@@ -244,7 +244,7 @@ func (a *Archer) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
 			return sb
 		}
 	}
-	out, _, _ := c.InstrumentAccesses(sb, a)
+	out, _, _ := c.InstrumentAccesses(sb)
 	return out
 }
 

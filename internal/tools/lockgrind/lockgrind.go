@@ -374,7 +374,7 @@ func (lg *Lockgrind) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock
 		strings.HasPrefix(sym.Name, "__kmp") {
 		return sb
 	}
-	out, _, _ := c.InstrumentAccesses(sb, lg)
+	out, _, _ := c.InstrumentAccesses(sb)
 	return out
 }
 

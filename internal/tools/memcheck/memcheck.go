@@ -188,7 +188,7 @@ func (mc *Memcheck) report(f Finding) {
 // path (batched per superblock segment by default, one callback per access
 // in the differential reference mode).
 func (mc *Memcheck) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
-	out, _, _ := c.InstrumentAccesses(sb, mc)
+	out, _, _ := c.InstrumentAccesses(sb)
 	return out
 }
 

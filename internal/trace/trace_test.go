@@ -5,10 +5,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/gbuild"
 	"repro/internal/guest"
 	"repro/internal/harness"
+	"repro/internal/obs"
+	"repro/internal/obs/store"
 	"repro/internal/omp"
 	"repro/internal/trace"
 )
@@ -57,59 +58,61 @@ func taskProgram() *gbuild.Builder {
 	return b
 }
 
-func TestRecorderCapturesSpans(t *testing.T) {
-	rec := trace.New()
-	res, _, err := harness.BuildAndRun(taskProgram(), harness.Setup{Tool: rec, Seed: 2, Threads: 4})
-	if err != nil || res.Err != nil {
-		t.Fatal(err, res.Err)
+// TestTaskSpansFromTracer: the tracer's task events, paired by the store's
+// span sink and mapped by TaskSpans, give one span per explicit task,
+// labelled with the task's function, and render as a chart.
+func TestTaskSpansFromTracer(t *testing.T) {
+	im, err := taskProgram().Link()
+	if err != nil {
+		t.Fatal(err)
 	}
-	var explicit int
-	for _, s := range rec.Spans {
+	var recorded []store.Span
+	sink := &store.SpanSink{
+		SymFn: func(pc uint64) string {
+			if sym := im.SymbolFor(pc); sym != nil {
+				return sym.Name
+			}
+			return ""
+		},
+		Emit: func(sp store.Span) { recorded = append(recorded, sp) },
+	}
+	tr := obs.NewTracer(sink)
+	inst, err := harness.New(harness.Setup{
+		Image: im, Seed: 2, Threads: 4, Obs: &obs.Hooks{Tracer: tr},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := inst.Run(); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spans := trace.TaskSpans(recorded)
+	labels := map[string]int{}
+	for _, s := range spans {
 		if s.End < s.Start {
 			t.Fatalf("inverted span %+v", s)
 		}
-		if s.Label != "implicit" && s.Label != "" {
-			explicit++
-		}
+		labels[s.Label]++
 	}
-	if explicit != 2 {
-		t.Fatalf("explicit task spans = %d, want 2 (%+v)", explicit, rec.Spans)
+	if labels["alpha"] != 1 || labels["beta"] != 1 {
+		t.Fatalf("explicit task spans = %v, want alpha and beta once each (%+v)", labels, spans)
 	}
 	var buf bytes.Buffer
-	if err := rec.Gantt(&buf, 60); err != nil {
+	if err := trace.Gantt(&buf, spans, 60); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "thr 0 |") || !strings.Contains(out, "tr.c:1") {
+	if !strings.Contains(out, "thr 0 |") || !strings.Contains(out, "=alpha") {
 		t.Fatalf("gantt:\n%s", out)
 	}
 }
 
-// TestTeeComposesWithTaskgrind: trace + taskgrind in one run.
-func TestTeeComposesWithTaskgrind(t *testing.T) {
-	tg := core.New(core.DefaultOptions())
-	rec := trace.New()
-	tee := trace.Tee{A: tg, B: rec}
-	res, _, err := harness.BuildAndRun(taskProgram(), harness.Setup{Tool: tee, Seed: 2, Threads: 4})
-	if err != nil || res.Err != nil {
-		t.Fatal(err, res.Err)
-	}
-	if len(rec.Spans) == 0 {
-		t.Fatal("tee lost the recorder's events")
-	}
-	// The analyzer worked too (clean program).
-	if tg.RaceCount != 0 {
-		t.Fatalf("tee perturbed the analysis: %d races", tg.RaceCount)
-	}
-	if tg.Stats.AccessesRecorded == 0 {
-		t.Fatal("tee lost the analyzer's instrumentation")
-	}
-}
-
 func TestEmptyGantt(t *testing.T) {
-	rec := trace.New()
 	var buf bytes.Buffer
-	if err := rec.Gantt(&buf, 40); err != nil {
+	if err := trace.Gantt(&buf, nil, 40); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "no task spans") {

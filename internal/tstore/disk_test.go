@@ -245,11 +245,11 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				st := NewCache(dir).Open(testKey())
-				st.Each(func(u *Unit) {
+				for _, u := range st.snapshot() {
 					if u.SB == nil {
 						t.Error("reader observed a unit without IR")
 					}
-				})
+				}
 				time.Sleep(time.Millisecond)
 			}
 		}()
@@ -386,11 +386,11 @@ func TestStorageFaultsDegrade(t *testing.T) {
 			// cleanly with a healthy FS: CRC + header checks are the last
 			// line, and they never let damage escalate past "fewer units".
 			recov := NewCache(dir).Open(testKey())
-			recov.Each(func(u *Unit) {
+			for _, u := range recov.snapshot() {
 				if u.SB == nil {
 					t.Error("recovered unit without IR")
 				}
-			})
+			}
 		})
 	}
 }

@@ -142,14 +142,11 @@ func decExpr(d *dec) vex.Expr {
 func encodeUnit(e *enc, u *Unit) {
 	e.u64(u.Addr)
 	e.u64(uint64(u.Seams))
-	flags := uint64(0)
-	if u.Pretranslated {
-		flags |= 1
-	}
+	hasCode := uint64(0)
 	if u.Code != nil {
-		flags |= 2
+		hasCode = 1
 	}
-	e.u64(flags)
+	e.u64(hasCode)
 	encSB(e, u.SB)
 	if u.Code != nil {
 		encCompiled(e, u.Code)
@@ -161,10 +158,9 @@ func encodeUnit(e *enc, u *Unit) {
 func decodeUnit(d *dec, helpers int) (*Unit, error) {
 	u := &Unit{Addr: d.u64()}
 	u.Seams = int(d.u64())
-	flags := d.u64()
-	u.Pretranslated = flags&1 != 0
+	hasCode := d.u64()
 	u.SB = decSB(d)
-	if flags&2 != 0 {
+	if hasCode != 0 {
 		u.Code = decCompiled(d)
 	}
 	if d.err != nil {

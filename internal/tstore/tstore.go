@@ -43,7 +43,7 @@ import (
 // header). Bump it whenever the unit encoding, the IR, the micro-op set or
 // the translator's output changes shape: old files then simply never match
 // and the store starts cold instead of serving stale translations.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // Key identifies one translation universe: every input that can change the
 // bytes a translation produces. Two runs with equal Keys may share
@@ -130,15 +130,12 @@ type Unit struct {
 	Addr uint64
 	// SB is the instrumented (and optimized) IR.
 	SB *vex.SuperBlock
-	// Code is the compiled micro-op form; nil until some core (or the
-	// pretranslation pipeline) compiles the block.
+	// Code is the compiled micro-op form; nil until some core compiles
+	// the block.
 	Code *vex.Compiled
 	// Seams is the number of superblock-extension seams crossed translating
 	// this block, replayed into the adopting core's counter.
 	Seams int
-	// Pretranslated marks units published by the ahead-of-execution
-	// pipeline rather than by a running guest.
-	Pretranslated bool
 }
 
 // slot wraps a published unit with the bookkeeping the eviction clock
@@ -336,20 +333,6 @@ func (s *Store) Len() int {
 	return len(s.units)
 }
 
-// Each calls fn for every unit. Used by the persistence tier and the
-// pretranslation pipeline's frontier seeding.
-func (s *Store) Each(fn func(*Unit)) {
-	s.mu.RLock()
-	units := make([]*Unit, 0, len(s.units))
-	for _, sl := range s.units {
-		units = append(units, sl.u)
-	}
-	s.mu.RUnlock()
-	for _, u := range units {
-		fn(u)
-	}
-}
-
 // snapshot returns the current unit set (for the disk tier).
 func (s *Store) snapshot() map[uint64]*Unit {
 	s.mu.RLock()
@@ -409,8 +392,8 @@ type Stats struct {
 	Hits   uint64
 	Misses uint64
 	// Puts counts distinct units published — the number of actual
-	// translations performed against this store across all attached cores
-	// and pipelines.
+	// translations performed against this store across all attached
+	// cores.
 	Puts uint64
 	// Evictions counts units dropped by the clock sweep.
 	Evictions uint64

@@ -39,7 +39,7 @@ func sampleUnit(t *testing.T, addr uint64) *Unit {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	return &Unit{Addr: addr, SB: sb, Code: code, Seams: 2, Pretranslated: true}
+	return &Unit{Addr: addr, SB: sb, Code: code, Seams: 2}
 }
 
 func testKey() Key {
@@ -58,7 +58,7 @@ func TestUnitRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.Addr != u.Addr || got.Seams != u.Seams || got.Pretranslated != u.Pretranslated {
+	if got.Addr != u.Addr || got.Seams != u.Seams {
 		t.Fatalf("header mismatch: %+v vs %+v", got, u)
 	}
 	if len(got.SB.Stmts) != len(u.SB.Stmts) || got.SB.NTemps != u.SB.NTemps ||
@@ -147,7 +147,7 @@ func TestDiskRoundtrip(t *testing.T) {
 		t.Fatalf("reloaded %d units, want 8", st2.Len())
 	}
 	u := st2.Get(0x1000)
-	if u == nil || u.Code == nil || u.Seams != 2 || !u.Pretranslated {
+	if u == nil || u.Code == nil || u.Seams != 2 {
 		t.Fatalf("reloaded unit mismatch: %+v", u)
 	}
 	// Dirty calls come back as the same helper index and Meta.

@@ -55,9 +55,6 @@ type perfArm struct {
 	// one untimed pass: the steady state of a long-lived daemon or a
 	// multi-seed sweep, where translation cost is already amortized.
 	Warm bool `json:"warm,omitempty"`
-	// Pretranslate starts each run cold but with the ahead-of-execution
-	// pipeline filling the store on spare cores while the guest executes.
-	Pretranslate bool `json:"pretranslate,omitempty"`
 
 	Blocks           uint64  `json:"blocks"`
 	Instrs           uint64  `json:"instrs"`
@@ -83,7 +80,6 @@ type perfArm struct {
 	ExtendSeams   uint64  `json:"extend_seams"`
 	Translations  uint64  `json:"translations"`
 	SharedHits    uint64  `json:"shared_hits,omitempty"`
-	Pretranslated uint64  `json:"pretranslated_blocks,omitempty"`
 	CacheFootKiB  float64 `json:"cache_footprint_kib"`
 	SuiteRepeats  int     `json:"suite_repeats"`
 	SuitePrograms int     `json:"suite_programs"`
@@ -198,7 +194,6 @@ func BenchmarkPerfEngines(b *testing.B) {
 		{Name: "compiled", Engine: dbi.EngineCompiled},
 		{Name: "compiled-ext", Engine: dbi.EngineCompiled, Extend: 128},
 		{Name: "compiled-warm", Engine: dbi.EngineCompiled, Warm: true},
-		{Name: "compiled-pretranslate", Engine: dbi.EngineCompiled, Pretranslate: true},
 	}
 	done := 0
 	for _, arm := range arms {
@@ -241,12 +236,6 @@ func BenchmarkPerfEngines(b *testing.B) {
 						}
 						if arm.Warm {
 							s.TStore = warmCache
-						} else if arm.Pretranslate {
-							// Fresh store per run: the pipeline races the
-							// guest on spare cores, cold every time.
-							s.TStore = tstore.NewCache("")
-							s.Pretranslate = true
-							s.NewTool = func() dbi.Tool { return dbi.NopTool{} }
 						}
 						inst, err := harness.New(s)
 						if err != nil {
@@ -256,11 +245,7 @@ func BenchmarkPerfEngines(b *testing.B) {
 						if res.Err != nil {
 							b.Fatal(res.Err)
 						}
-						if inst.Pretrans != nil {
-							inst.Pretrans.Wait() // settle outside the run wall
-						}
 						arm.SharedHits += inst.Core.SharedHits
-						arm.Pretranslated += inst.Core.PretranslatedBlocks
 						arm.Blocks += inst.M.BlocksExecuted
 						arm.Instrs += inst.M.InstrsExecuted
 						arm.WallSeconds += res.Wall.Seconds()
@@ -323,11 +308,7 @@ func BenchmarkPerfEngines(b *testing.B) {
 			"wall clock (translation-dominated on this suite). The " +
 			"compiled-warm arm resolves translations from a primed " +
 			"shared store — the daemon/sweep steady state — and must " +
-			"beat ir end to end (gated by TestWarmStoreE2ERegression). " +
-			"compiled-pretranslate starts cold with the pipeline " +
-			"racing the guest; on these ~1ms programs the guest " +
-			"usually wins, so its value shows on long-running guests, " +
-			"not here.",
+			"beat ir end to end (gated by TestWarmStoreE2ERegression).",
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 		Arms:      arms,
 	})

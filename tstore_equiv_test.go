@@ -1,12 +1,12 @@
 package repro
 
 // Cache-equivalence differential suite for the translation store: a run
-// that resolves its translations from the shared store — warm in memory,
-// warm from the persistent tier, or filled by the ahead-of-execution
-// pipeline — must be bit-identical to a cold run that translates
-// everything itself. "Bit-identical" is the checkpoint-fuzz oracle: the
-// rendered tool report, guest stdout, the full guest memory hash, the
-// machine state digest, exit code and the deterministic work counters.
+// that resolves its translations from the shared store — warm in memory
+// or warm from the persistent tier — must be bit-identical to a cold run
+// that translates everything itself. "Bit-identical" is the checkpoint-fuzz
+// oracle: the rendered tool report, guest stdout, the full guest memory
+// hash, the machine state digest, exit code and the deterministic work
+// counters.
 // Translation-side counters (Translations, SharedHits, translate/compile
 // nanos, instrument-time tallies) legitimately differ — they measure where
 // the translation happened, which is exactly what the store changes.
@@ -70,9 +70,6 @@ func tcRun(t *testing.T, bm drb.Benchmark, engine string, extend int, s harness.
 	}
 	if res.Err != nil {
 		t.Fatalf("%s %s: run failed: %v", bm.Name, engine, res.Err)
-	}
-	if inst.Pretrans != nil {
-		inst.Pretrans.Wait()
 	}
 	return runPrint{
 		report: tl.Reports.String(),
@@ -144,15 +141,6 @@ func TestStoreEquivalence(t *testing.T) {
 				t.Fatalf("%s %s: disk-warm run still translated %d blocks",
 					bm.Name, eng, diskInst.Core.Translations)
 			}
-
-			// Pretranslated: the pipeline races the guest; whoever wins a
-			// block, the outcome is the cold outcome.
-			pre, _ := tcRun(t, bm, eng, 0, harness.Setup{
-				TStore:       tstore.NewCache(""),
-				Pretranslate: true,
-				NewTool:      func() dbi.Tool { return core.New(core.Options{}) },
-			})
-			diffPrints(t, bm.Name+"/"+eng+"/pretranslated", cold, pre)
 		}
 	}
 }
@@ -292,8 +280,7 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 }
 
 // TestStoreEquivalenceStorageFaults: every injected storage fault kind,
-// firing on every opportunity, across {cold, disk-warm, pretranslated}
-// store shapes and both engines, yields results bit-identical to the clean
+// firing on every opportunity, across {cold, disk-warm} store shapes and both engines, yields results bit-identical to the clean
 // cold run. This is the degradation invariant end to end: a broken disk,
 // a full disk, bit rot or a starved lock can slow a run down (it
 // translates cold), but can never change what it computes or reports.
@@ -350,15 +337,6 @@ func TestStoreEquivalenceStorageFaults(t *testing.T) {
 			if warmInst.Core.Translations == 0 && warmInst.Core.SharedHits == 0 {
 				t.Fatalf("%s/%s: run neither translated nor adopted", eng, k.name)
 			}
-
-			// Pretranslated: the pipeline races the guest while the disk
-			// tier misbehaves underneath both.
-			preFault, _ := tcRun(t, bm, eng, 0, harness.Setup{
-				TStore:       faultCache(t.TempDir()),
-				Pretranslate: true,
-				NewTool:      func() dbi.Tool { return core.New(core.Options{}) },
-			})
-			diffPrints(t, bm.Name+"/"+eng+"/"+k.name+"/pretranslated", cold, preFault)
 		}
 	}
 }

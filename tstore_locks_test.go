@@ -3,8 +3,8 @@ package repro
 // Translation-store coverage for the lock subsystem: lockgrind is a
 // translating tool (it instruments accesses and skips the __kmp* runtime),
 // so its units live in the shared store under its own tool identity. Two
-// properties are gated here: lock-program runs are bit-identical cold,
-// warm and pretranslated under lockgrind on both engines, and
+// properties are gated here: lock-program runs are bit-identical cold and
+// warm under lockgrind on both engines, and
 // differently-instrumenting tools that share a display name (the taskgrind
 // registry variants) can never adopt each other's translations.
 
@@ -37,9 +37,6 @@ func lgRun(t *testing.T, bm drb.Benchmark, toolName, engine string, s harness.Se
 	if res.Err != nil {
 		t.Fatalf("%s %s: run failed: %v", bm.Name, engine, res.Err)
 	}
-	if inst.Pretrans != nil {
-		inst.Pretrans.Wait()
-	}
 	report, _ := toolreg.Render(tl)
 	return runPrint{
 		report: report,
@@ -56,8 +53,8 @@ func lgRun(t *testing.T, bm drb.Benchmark, toolName, engine string, s harness.Se
 }
 
 // TestStoreEquivalenceLocks: lock programs under lockgrind, on both
-// engines — a cold run, a warm run from a filled store, and a
-// pretranslated run produce bit-identical reports and machine states.
+// engines — a cold run and a warm run from a filled store produce
+// bit-identical reports and machine states.
 func TestStoreEquivalenceLocks(t *testing.T) {
 	names := []string{"lock-100-mutex-counter", "lock-103-lock-order", "lock-104-condvar"}
 	for _, eng := range []string{dbi.EngineIR, dbi.EngineCompiled} {
@@ -81,19 +78,6 @@ func TestStoreEquivalenceLocks(t *testing.T) {
 			if warmInst.Core.SharedHits == 0 {
 				t.Fatalf("%s %s: warm lockgrind run adopted nothing", name, eng)
 			}
-
-			pre, _ := lgRun(t, bm, "lockgrind", eng, harness.Setup{
-				TStore:       tstore.NewCache(""),
-				Pretranslate: true,
-				NewTool: func() dbi.Tool {
-					tl, _, err := toolreg.Make("lockgrind")
-					if err != nil {
-						panic(err)
-					}
-					return tl
-				},
-			})
-			diffPrints(t, name+"/"+eng+"/lock-pretranslated", cold, pre)
 		}
 	}
 }
