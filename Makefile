@@ -51,12 +51,13 @@ replay-determinism:
 # roundtrips, persistent-tier invalidation, torn-tail recovery) under -race,
 # plus the store-equivalence differential smoke — cold vs warm vs
 # disk-warm runs bit-identical on both engines, the crash-report and
-# invalidation cases, the 16-worker shared-store race test and the sweep
+# invalidation cases, the per-event store guard (a per-event core neither
+# publishes nor adopts), the 16-worker shared-store race test and the sweep
 # amortization counter check. Fresh run (-count=1) so the gate never passes
 # on a cached result.
 tstore-equiv:
 	$(GO) test -race -count=1 ./internal/tstore
-	$(GO) test -race -count=1 -run 'TestStoreEquivalence|TestStoreInvalidation|TestStoreConcurrentWorkers|TestSweepAmortization|TestJobsShareTranslationStore' . ./internal/serve
+	$(GO) test -race -count=1 -run 'TestStoreEquivalence|TestStoreInvalidation|TestStorePerEventGuard|TestStoreConcurrentWorkers|TestSweepAmortization|TestJobsShareTranslationStore' . ./internal/serve
 
 # Multi-process store chaos soak, race-enabled: N taskgrind processes plus
 # an in-process daemon share one -tcache-dir while victims are SIGKILLed
@@ -134,10 +135,12 @@ loadtest:
 # query verb against it. Exercises the CLI end to end, including the golden
 # and cross-seed-aggregation acceptance tests, plus the -trace checks: a
 # traced run matches the untraced one under every tool, and its chart is
-# byte-identical to `query gantt` over the same run. Fresh run (-count=1)
-# so the gate never passes on a cached result.
+# byte-identical to `query gantt` over the same run — and the recorder
+# parity check: a CLI run, a daemon job and a sweep seed of the same
+# configuration store byte-identical `query gantt`/`query top` answers.
+# Fresh run (-count=1) so the gate never passes on a cached result.
 query-smoke:
-	$(GO) test -count=1 -run 'TestQueryGolden|TestQueryCLISmoke|TestExploreRecordAggBitIdentical|TestTraceDoesNotChangeRun|TestTraceMatchesQueryGantt' ./cmd/taskgrind
+	$(GO) test -count=1 -run 'TestQueryGolden|TestQueryCLISmoke|TestExploreRecordAggBitIdentical|TestTraceDoesNotChangeRun|TestTraceMatchesQueryGantt|TestRecorderParity' ./cmd/taskgrind
 
 # Regression guards: re-measures the compiled engine's hot ns/block (fails
 # on >20% regression), the ckpt-16 checkpoint overhead ratio (fails at

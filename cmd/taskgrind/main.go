@@ -64,14 +64,13 @@ func main() {
 		}
 	}
 	var (
-		prog     = flag.String("prog", "task.c", "program to run (-list to enumerate)")
-		asmFile  = flag.String("asm", "", "assemble and run a guest .s file instead of -prog")
-		tool     = flag.String("tool", "taskgrind", fmt.Sprintf("analysis tool %v", toolreg.Names()))
-		engine   = flag.String("engine", "", "execution engine: compiled (micro-ops + block chaining), ir (reference interpreter), \"\" = default")
-		delivery = flag.String("delivery", "batched", "tool access delivery: batched (one flush per superblock segment), per-event (one callback per access)")
-		extend   = flag.Int("extend", 0, "superblock extension budget in guest instructions (0 = single basic blocks; changes scheduling granularity)")
+		prog    = flag.String("prog", "task.c", "program to run (-list to enumerate)")
+		asmFile = flag.String("asm", "", "assemble and run a guest .s file instead of -prog")
+		tool    = flag.String("tool", "taskgrind", fmt.Sprintf("analysis tool %v", toolreg.Names()))
+		engine  = flag.String("engine", "", "execution engine: compiled (micro-ops + block chaining), ir (reference interpreter), \"\" = default")
+		extend  = flag.Int("extend", 0, "superblock extension budget in guest instructions (0 = single basic blocks; changes scheduling granularity)")
 
-		tcacheDir      = flag.String("tcache-dir", "", "persistent translation store directory, shared safely by concurrent processes: instrumented+compiled translations are saved per (image,tool,engine,extend,delivery) and reused across runs")
+		tcacheDir      = flag.String("tcache-dir", "", "persistent translation store directory, shared safely by concurrent processes: instrumented+compiled translations are saved per (image,tool,engine,extend) and reused across runs")
 		tcacheMaxMB    = flag.Int64("tcache-max-mb", 0, "translation store byte cap in MiB (0 = unbounded); clock eviction keeps the cache under it")
 		tcacheMaxUnits = flag.Int64("tcache-max-units", 0, "translation store unit cap (0 = unbounded); clock eviction keeps the cache under it")
 		threads        = flag.Int("threads", 4, "OMP_NUM_THREADS")
@@ -144,9 +143,6 @@ func main() {
 		if cfg.Threads != 0 {
 			*threads = cfg.Threads
 		}
-		if cfg.Delivery != "" {
-			*delivery = cfg.Delivery
-		}
 		*engine, *extend = cfg.Engine, cfg.Extend
 		*inject, *injectSeed = cfg.Inject, cfg.InjectSeed
 		*lenientMem = cfg.Lenient
@@ -174,10 +170,6 @@ func main() {
 	if _, _, terr := toolreg.Make(*tool); terr != nil {
 		fatal(terr)
 	}
-	deliv, ok := dbi.ParseDelivery(*delivery)
-	if !ok {
-		fatal(fmt.Errorf("unknown -delivery %q (batched, per-event)", *delivery))
-	}
 	if _, perr := faultinject.ParseSpec(*inject, *injectSeed); perr != nil {
 		fatal(perr)
 	}
@@ -189,7 +181,7 @@ func main() {
 	if *asmFile == "" {
 		cfg := snapshot.Config{
 			Prog: *prog, Tool: *tool, Seed: *seed, Threads: *threads, Slice: sliceLen,
-			Engine: *engine, Delivery: *delivery, Extend: *extend,
+			Engine: *engine, Extend: *extend,
 			Inject: *inject, Lenient: *lenientMem,
 		}
 		if *inject != "" {
@@ -240,18 +232,19 @@ func main() {
 	// replay, IR fallback); tool, injector and observability sinks are all
 	// stateful, so each attempt gets fresh ones and the captured variables
 	// track the latest — the attempt whose results survive.
+	progLabel := *prog
+	if *asmFile != "" {
+		progLabel = *asmFile
+	}
 	var (
 		tl     dbi.Tool
 		count  func() int
 		spans  []store.Span
 		hooks  *obs.Hooks
-		reg    *obs.Registry
-		tracer *obs.Tracer
-		prof   *obs.Profiler
+		rec    *harness.Recorder
 		traceF *os.File
 		inj    *faultinject.Injector
 		outBuf *bytes.Buffer
-		srw    *store.RunWriter
 	)
 	makeSetup := func() harness.Setup {
 		tl, count, err = toolreg.Make(*tool)
@@ -260,57 +253,48 @@ func main() {
 		}
 		// Assemble the observability hooks. Nil hooks keep every
 		// instrumented hot path on its one-pointer-compare fast path.
-		hooks, reg, tracer, prof, spans = nil, nil, nil, nil, nil
-		if *verbose || *metricsFile != "" || *traceOut != "" || *profileFile != "" || storeW != nil || *gantt {
+		hooks, spans = nil, nil
+		var sinks []obs.Sink
+		if *traceOut != "" {
+			f, cerr := os.Create(*traceOut)
+			if cerr != nil {
+				fatal(cerr)
+			}
+			traceF = f
+			sinks = append(sinks, obs.NewChromeSink(f))
+		}
+		if *gantt {
+			// The chart pairs the same task events the run store
+			// records, so it matches `taskgrind query gantt`.
+			sinks = append(sinks, &store.SpanSink{
+				SymFn: symOf,
+				Emit:  func(sp store.Span) { spans = append(spans, sp) },
+			})
+		}
+		if storeW != nil {
+			// A fresh recorder per attempt; a superseded attempt's run is
+			// abandoned (never appended). Its registry and profiler feed
+			// -v, -metrics and -profile too.
+			rec.Abort()
+			rec = harness.NewRecorder(storeW, store.RunHeader{
+				Prog: progLabel, Tool: *tool, Engine: *engine,
+				Seed: *seed, Threads: *threads, ReplayToken: token,
+			}, im, *profileEvery, sinks...)
+			hooks = rec.Hooks()
+		} else if *verbose || *metricsFile != "" || *profileFile != "" || len(sinks) > 0 {
 			hooks = &obs.Hooks{}
-			if *verbose || *metricsFile != "" || storeW != nil {
-				reg = obs.NewRegistry()
-				hooks.Metrics = reg
-			}
-			var sinks []obs.Sink
-			if *traceOut != "" {
-				f, cerr := os.Create(*traceOut)
-				if cerr != nil {
-					fatal(cerr)
-				}
-				traceF = f
-				sinks = append(sinks, obs.NewChromeSink(f))
-			}
-			if storeW != nil {
-				// Fresh run writer per attempt; a superseded attempt's
-				// writer is abandoned (never appended) below.
-				if srw != nil {
-					srw.Abort()
-				}
-				progLabel := *prog
-				if *asmFile != "" {
-					progLabel = *asmFile
-				}
-				srw = storeW.Begin(store.RunHeader{
-					Prog: progLabel, Tool: *tool, Engine: *engine,
-					Delivery: deliv.String(), Seed: *seed, Threads: *threads,
-				})
-				ssink := store.NewStoreSink(srw)
-				ssink.SymFn = symOf
-				sinks = append(sinks, ssink)
-			}
-			if *gantt {
-				// The chart pairs the same task events the run store
-				// records, so it matches `taskgrind query gantt`.
-				sinks = append(sinks, &store.SpanSink{
-					SymFn: symOf,
-					Emit:  func(sp store.Span) { spans = append(spans, sp) },
-				})
+			if *verbose || *metricsFile != "" {
+				hooks.Metrics = obs.NewRegistry()
 			}
 			if len(sinks) > 0 {
-				tracer = obs.NewTracer(sinks...)
-				tracer.BlockEvents = *traceBlocks
-				hooks.Tracer = tracer
+				hooks.Tracer = obs.NewTracer(sinks...)
 			}
-			if *profileFile != "" || storeW != nil {
-				prof = obs.NewProfiler(*profileEvery)
-				hooks.Prof = prof
+			if *profileFile != "" {
+				hooks.Prof = obs.NewProfiler(*profileEvery)
 			}
+		}
+		if hooks.Tracing() {
+			hooks.Tracer.BlockEvents = *traceBlocks
 		}
 		inj, _ = faultinject.ParseSpec(*inject, *injectSeed)
 		var w io.Writer = os.Stdout
@@ -327,7 +311,6 @@ func main() {
 			LenientMem:  *lenientMem,
 			Engine:      *engine,
 			Extend:      *extend,
-			Delivery:    deliv,
 			CkptEvery:   *ckptInterval,
 			ReplayToken: token,
 			RunOpts:     vm.RunOpts{MaxBlocks: *maxBlocks, MaxInstrs: *maxInstrs, Timeout: *timeout},
@@ -369,47 +352,24 @@ func main() {
 		}
 	}
 	injector := inj
-	tracerClosed := false
-	closeTracer := func() {
-		if tracer == nil || tracerClosed {
-			return
-		}
-		tracerClosed = true
-		if cerr := tracer.Close(); cerr != nil {
-			fatal(cerr)
+	// closeObs settles still-open spans in every sink and, under -record,
+	// appends the run to the store. Called on every exit path so crashes
+	// are recorded too.
+	closeObs := func(verdict string, reports int) {
+		var cerr error
+		if rec != nil {
+			cerr = rec.Finish(inst, res, harness.Outcome{Verdict: verdict, Reports: reports})
+			if werr := storeW.Close(); cerr == nil {
+				cerr = werr
+			}
+		} else if hooks != nil {
+			cerr = hooks.Tracer.Close()
 		}
 		if traceF != nil {
 			traceF.Close()
 		}
-	}
-	// finishRecord completes the run-store block: final counters, profile
-	// samples, race rows, verdict and replay token. Called on every exit
-	// path so crashes are recorded too.
-	finishRecord := func(verdict string, reports int) {
-		if srw == nil {
-			return
-		}
-		closeTracer() // settles still-open spans through the store sink
-		inst.CaptureMetrics(reg)
-		srw.SetCounters(reg.Snapshot().Counters)
-		srw.SetWork(res.GuestInstrs, inst.M.BlocksExecuted, uint64(res.Wall))
-		srw.SetReplayToken(token)
-		if tg, ok := tl.(*core.Taskgrind); ok {
-			for _, row := range store.RacesFromSet(&tg.Reports) {
-				srw.AddRace(row)
-			}
-		}
-		prof.Each(func(pc, n uint64) { srw.Sample(pc, symOf(pc), n) })
-		errStr := ""
-		if res.Err != nil {
-			errStr = res.Err.Error()
-		}
-		srw.SetResult(verdict, reports, errStr)
-		if ferr := srw.Finish(); ferr != nil {
-			fatal(ferr)
-		}
-		if ferr := storeW.Close(); ferr != nil {
-			fatal(ferr)
+		if cerr != nil {
+			fatal(cerr)
 		}
 	}
 	if res.Crash != nil {
@@ -417,7 +377,7 @@ func main() {
 		// through the image, and exit with the failure taxonomy's documented
 		// code (fault=3, panic=4, timeout=5, deadlock=6, divergence=7,
 		// canceled=8; see README).
-		finishRecord(harness.Classify(res.Err), 0)
+		closeObs(harness.Classify(res.Err), 0)
 		fmt.Fprint(os.Stderr, res.Crash.Render(inst.M.Image))
 		if injector.Enabled() {
 			fmt.Fprintf(os.Stderr, "==taskgrind== fault injection: %s\n", injector.Summary())
@@ -425,12 +385,12 @@ func main() {
 		os.Exit(harness.ExitCodeFor(harness.Classify(res.Err)))
 	}
 	if res.Err != nil {
-		finishRecord(harness.Classify(res.Err), 0)
+		closeObs(harness.Classify(res.Err), 0)
 		fatal(res.Err)
 	}
-	finishRecord(store.VerdictOK, count())
-	closeTracer()
-	if reg != nil {
+	closeObs(store.VerdictOK, count())
+	if hooks != nil && hooks.Metrics != nil {
+		reg := hooks.Metrics
 		// One snapshot feeds both the -v text dump and the -metrics JSON
 		// file, so the two views cannot disagree. Wall time stays out of
 		// the registry: the snapshot is deterministic for a given seed.
@@ -455,12 +415,12 @@ func main() {
 			mf.Close()
 		}
 	}
-	if prof != nil && *profileFile != "" {
+	if *profileFile != "" {
 		pf, cerr := os.Create(*profileFile)
 		if cerr != nil {
 			fatal(cerr)
 		}
-		if werr := prof.Report(pf, inst.M.Image, 25); werr != nil {
+		if werr := hooks.Prof.Report(pf, inst.M.Image, 25); werr != nil {
 			fatal(werr)
 		}
 		pf.Close()

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/base64"
+	"net/url"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -136,5 +138,25 @@ func TestOnPanicFallbackMatchesUninjected(t *testing.T) {
 	if stdout.String() != base {
 		t.Fatalf("fallback tool report differs from uninjected run:\n--- fallback\n%s\n--- baseline\n%s",
 			stdout.String(), base)
+	}
+}
+
+// TestReplayTokenIgnoresDeliveryKey: tokens printed before delivery left the
+// run configuration carry a "delivery" key. They still parse, and replaying
+// one prints the same report as the same token without the key.
+func TestReplayTokenIgnoresDeliveryKey(t *testing.T) {
+	bin := buildCLI(t)
+	v := url.Values{"prog": {"task.c"}, "tool": {"taskgrind"}, "seed": {"2"}, "threads": {"4"}}
+	tok := func() string { return "tg1:" + base64.RawURLEncoding.EncodeToString([]byte(v.Encode())) }
+	plain := tok()
+	v.Set("delivery", "per-event")
+	old := tok()
+	want, code := runCLI(t, bin, "-replay", plain)
+	if code != 1 || !strings.Contains(want, "==") {
+		t.Fatalf("replay exit %d, want 1 (task.c seed 2 races)\n%s", code, want)
+	}
+	got, code := runCLI(t, bin, "-replay", old)
+	if code != 1 || got != want {
+		t.Fatalf("token with delivery key replays differently (exit %d):\n--- without\n%s--- with\n%s", code, want, got)
 	}
 }

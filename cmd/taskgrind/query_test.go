@@ -8,11 +8,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/explore"
 	"repro/internal/gbuild"
 	"repro/internal/lulesh"
 	"repro/internal/obs/store"
+	"repro/internal/serve"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -199,5 +201,83 @@ func TestExploreRecordAggBitIdentical(t *testing.T) {
 	agg := store.Aggregate(okRuns)
 	if agg.Runs != 100 || agg.InstrsMin == 0 {
 		t.Fatalf("aggregate over clean sweep: %+v", agg)
+	}
+}
+
+// TestRecorderParity: a CLI run, a daemon job and a sweep seed record
+// through one recorder, so the same configuration yields the same stored
+// spans and profile samples whichever front end ran it: `query gantt` and
+// `query top -by samples` print identical bytes over the three stores.
+func TestRecorderParity(t *testing.T) {
+	bin := buildCLI(t)
+	queries := func(dir string) string {
+		gantt, code := runCLI(t, bin, "query", "gantt", "-store", dir, "-run", "1")
+		if code != 0 || !strings.Contains(gantt, "thr 0") {
+			t.Fatalf("query gantt exit %d\n%s", code, gantt)
+		}
+		top, code := runCLI(t, bin, "query", "top", "-store", dir, "-by", "samples")
+		if code != 0 || !strings.Contains(top, "main") {
+			t.Fatalf("query top exit %d\n%s", code, top)
+		}
+		return gantt + top
+	}
+	cliRecord := func(seed string) string {
+		dir := filepath.Join(t.TempDir(), "cli")
+		if out, code := runCLI(t, bin, "-prog", "task.c", "-seed", seed, "-record", dir); code != 1 {
+			t.Fatalf("record exit %d\n%s", code, out)
+		}
+		return queries(dir)
+	}
+
+	// Daemon job, seed 2.
+	dir := t.TempDir()
+	w, err := store.Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := serve.New(serve.Options{Workers: 1, Record: w})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := s.Submit(serve.JobSpec{Prog: "task.c", Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		v, err := s.Job(jobs[0].ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Status.Terminal() {
+			if v.Status != serve.StatusDone {
+				t.Fatalf("job ended %s (result %+v)", v.Status, v.Result)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck in %s", v.Status)
+		}
+	}
+	s.Stop()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if cli, daemon := cliRecord("2"), queries(dir); cli != daemon {
+		t.Fatalf("daemon recording differs from the CLI's:\n--- cli\n%s--- daemon\n%s", cli, daemon)
+	}
+
+	// Sweep seed 1 (a one-seed sweep).
+	dir = t.TempDir()
+	if w, err = store.Create(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := explore.RunOpts(listing4, "taskgrind", 4, 1, explore.Opts{Prog: "task.c", Record: w}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if cli, sweep := cliRecord("1"), queries(dir); cli != sweep {
+		t.Fatalf("sweep recording differs from the CLI's:\n--- cli\n%s--- sweep\n%s", cli, sweep)
 	}
 }

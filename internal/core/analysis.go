@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"sort"
-	"sync"
 
 	"repro/internal/dbi"
 	"repro/internal/guest"
@@ -16,10 +15,6 @@ import (
 // Algorithm 1 of the paper. It closes the segment graph, compares every
 // unordered pair of segments, intersects write sets against read∪write sets,
 // applies the TLS and stack-frame suppressions, and renders reports.
-//
-// The pass is embarrassingly parallel over the first segment of each pair;
-// Opt.AnalysisWorkers > 1 runs it with a worker pool (the paper's
-// future-work item), with a deterministic merge.
 func (tg *Taskgrind) Fini(c *dbi.Core) {
 	tg.graph.Close()
 	tg.buildLifetimeIndex(c)
@@ -31,62 +26,22 @@ func (tg *Taskgrind) Fini(c *dbi.Core) {
 			active = append(active, s)
 		}
 	}
-
-	workers := tg.Opt.AnalysisWorkers
-	if workers <= 1 {
-		tg.analyzeSlice(active, 0, len(active), &tg.Reports, &tg.Stats)
-		tg.RaceCount = tg.Stats.ConflictPairs
-		tg.Reports.Sort()
-		return
-	}
-
-	// Parallel pass: disjoint slices of the outer loop, merged in order.
-	type part struct {
-		set   report.Set
-		stats Stats
-	}
-	parts := make([]part, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := len(active) * w / workers
-		hi := len(active) * (w + 1) / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			tg.analyzeSlice(active, lo, hi, &parts[w].set, &parts[w].stats)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for i := range parts {
-		tg.Stats.PairsChecked += parts[i].stats.PairsChecked
-		tg.Stats.ConflictPairs += parts[i].stats.ConflictPairs
-		tg.Stats.SuppressedTLS += parts[i].stats.SuppressedTLS
-		tg.Stats.SuppressedStack += parts[i].stats.SuppressedStack
-		tg.Stats.ReportsTotal += parts[i].stats.ReportsTotal
-		tg.Reports.Races = append(tg.Reports.Races, parts[i].set.Races...)
+	for i, s1 := range active {
+		for _, s2 := range active[i+1:] {
+			tg.Stats.PairsChecked++
+			if tg.graph.Ordered(s1.Node, s2.Node) {
+				continue
+			}
+			tg.checkPair(s1, s2)
+		}
 	}
 	tg.RaceCount = tg.Stats.ConflictPairs
 	tg.Reports.Sort()
 }
 
-// analyzeSlice compares active[lo:hi] against every later active segment.
-func (tg *Taskgrind) analyzeSlice(active []*Segment, lo, hi int, out *report.Set, st *Stats) {
-	for i := lo; i < hi; i++ {
-		s1 := active[i]
-		for j := i + 1; j < len(active); j++ {
-			s2 := active[j]
-			st.PairsChecked++
-			if tg.graph.Ordered(s1.Node, s2.Node) {
-				continue
-			}
-			tg.checkPair(s1, s2, out, st)
-		}
-	}
-}
-
 // checkPair implements the body of Algorithm 1 for one unordered pair:
 // s1.w ∩ (s2.r ∪ s2.w), plus the symmetric s2.w ∩ s1.r.
-func (tg *Taskgrind) checkPair(s1, s2 *Segment, out *report.Set, st *Stats) {
+func (tg *Taskgrind) checkPair(s1, s2 *Segment) {
 	if tg.believed != nil && s1.TaskID != s2.TaskID &&
 		(tg.believed[[2]uint64{s1.TaskID, s2.TaskID}] ||
 			tg.believed[[2]uint64{s2.TaskID, s1.TaskID}]) {
@@ -97,7 +52,7 @@ func (tg *Taskgrind) checkPair(s1, s2 *Segment, out *report.Set, st *Stats) {
 	collect := func(a, b *itree.Tree, kind string) {
 		found := false
 		itree.ForEachIntersection(a, b, func(lo, hi uint64) bool {
-			if tg.suppressed(s1, s2, lo, st) {
+			if tg.suppressed(s1, s2, lo) {
 				return true
 			}
 			conf.Insert(lo, hi)
@@ -117,9 +72,9 @@ func (tg *Taskgrind) checkPair(s1, s2 *Segment, out *report.Set, st *Stats) {
 	if conf.Empty() {
 		return
 	}
-	st.ConflictPairs++
-	st.ReportsTotal++
-	if out.Len() >= tg.Opt.MaxReports {
+	tg.Stats.ConflictPairs++
+	tg.Stats.ReportsTotal++
+	if tg.Reports.Len() >= tg.Opt.MaxReports {
 		return
 	}
 	r := &report.Race{
@@ -144,16 +99,16 @@ func (tg *Taskgrind) checkPair(s1, s2 *Segment, out *report.Set, st *Stats) {
 		r.Ranges = append(r.Ranges, rg)
 		return true
 	})
-	out.Add(r)
+	tg.Reports.Add(r)
 }
 
 // suppressed applies the §IV-C (TLS) and §IV-D (stack frame) filters to a
 // conflicting range starting at lo.
-func (tg *Taskgrind) suppressed(s1, s2 *Segment, lo uint64, st *Stats) bool {
+func (tg *Taskgrind) suppressed(s1, s2 *Segment, lo uint64) bool {
 	switch classify(lo) {
 	case report.RegionTLS:
 		if tg.Opt.TLSSuppression && s1.Thread == s2.Thread && s1.TLSGen == s2.TLSGen {
-			st.SuppressedTLS++
+			tg.Stats.SuppressedTLS++
 			return true
 		}
 	case report.RegionStack:
@@ -163,7 +118,7 @@ func (tg *Taskgrind) suppressed(s1, s2 *Segment, lo uint64, st *Stats) bool {
 		if tg.Opt.StackSuppression && lo < s1.Frame && lo < s2.Frame {
 			if w := tg.Opt.StackSuppressWindow; w == 0 ||
 				(s1.Frame-lo <= w && s2.Frame-lo <= w) {
-				st.SuppressedStack++
+				tg.Stats.SuppressedStack++
 				return true
 			}
 		}
@@ -171,7 +126,7 @@ func (tg *Taskgrind) suppressed(s1, s2 *Segment, lo uint64, st *Stats) bool {
 		// if the thread's stack popped above the address between the
 		// two segments, the later segment addresses a different object.
 		if tg.Opt.StackLifetimeSuppression && tg.objectDiedBetween(s1, s2, lo) {
-			st.SuppressedStack++
+			tg.Stats.SuppressedStack++
 			return true
 		}
 	}

@@ -42,9 +42,6 @@ type Options struct {
 	// (the §V-B annotation); also toggled by the CRAssumeDeferrable
 	// client request.
 	AssumeDeferrable bool
-	// AnalysisWorkers parallelizes the post-mortem analysis pass (the
-	// paper's future-work item). 0 or 1 runs it sequentially.
-	AnalysisWorkers int
 	// MaxReports caps how many reports keep full details (the count is
 	// always exact). Default 1024.
 	MaxReports int

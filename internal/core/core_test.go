@@ -266,22 +266,6 @@ func TestInstrumentList(t *testing.T) {
 	}
 }
 
-// TestParallelAnalysisMatchesSequential: the parallelized Fini pass (the
-// paper's future-work item) must find exactly the sequential result.
-func TestParallelAnalysisMatchesSequential(t *testing.T) {
-	seqOpt := core.DefaultOptions()
-	seq := runTG(t, listing4(true), seqOpt, 4, 4)
-	parOpt := core.DefaultOptions()
-	parOpt.AnalysisWorkers = 4
-	par := runTG(t, listing4(true), parOpt, 4, 4)
-	if seq.RaceCount != par.RaceCount {
-		t.Fatalf("parallel analysis diverged: %d vs %d", seq.RaceCount, par.RaceCount)
-	}
-	if seq.Reports.String() != par.Reports.String() {
-		t.Fatal("parallel analysis reports differ from sequential")
-	}
-}
-
 // TestSegmentGraphShape sanity-checks the structure built for listing4.
 func TestSegmentGraphShape(t *testing.T) {
 	tg := runTG(t, listing4(true), core.DefaultOptions(), 2, 4)

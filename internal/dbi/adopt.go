@@ -17,10 +17,12 @@ import (
 )
 
 // storeActive reports whether this core participates in the shared tier.
-// NoOptimize cores (a debug mode) are excluded: their IR differs from the
-// canonical pipeline output and would poison the store.
+// NoOptimize cores (a debug mode) and per-event cores (the differential
+// reference) are excluded: their IR differs from the canonical batched
+// pipeline output, the store key does not tell them apart, and they would
+// poison the store.
 func (c *Core) storeActive() bool {
-	return c.Shared != nil && !c.NoOptimize
+	return c.Shared != nil && !c.NoOptimize && c.Delivery == DeliverBatched
 }
 
 // sharedGet probes the shared store.

@@ -70,25 +70,6 @@ const (
 	DeliverPerEvent
 )
 
-// String names the mode (flag parsing, reports).
-func (d Delivery) String() string {
-	if d == DeliverPerEvent {
-		return "per-event"
-	}
-	return "batched"
-}
-
-// ParseDelivery maps a flag value to a Delivery mode.
-func ParseDelivery(s string) (Delivery, bool) {
-	switch s {
-	case "", "batched":
-		return DeliverBatched, true
-	case "per-event", "perevent", "per_event":
-		return DeliverPerEvent, true
-	}
-	return DeliverBatched, false
-}
-
 // accessPoint is the compile-time half of one queued access: everything known
 // at instrumentation time plus the expression yielding the address at run
 // time (a constant or an SSA temp; registers are snapshotted — see flush).

@@ -97,8 +97,8 @@ type Core struct {
 	// consulted between the local caches and fresh translation: local miss
 	// -> adopt a published unit (attached by reference) -> translate fresh
 	// and publish. The store must be keyed for exactly this core's (image,
-	// tool, engine, extend, delivery) universe — the harness derives the
-	// key; see internal/tstore.
+	// tool, engine, extend) universe — the harness derives the key; see
+	// internal/tstore.
 	Shared *tstore.Store
 
 	// ExtendBudget, when positive, enables superblock extension: the
@@ -145,8 +145,9 @@ type Core struct {
 
 	// Delivery selects how InstrumentAccesses-based tools receive the
 	// access stream: batched per superblock segment (the default) or one
-	// callback per access (the differential reference). Set before the
-	// first translation.
+	// callback per access (the differential reference, reachable only
+	// through harness.Setup.Delivery; such cores never touch the shared
+	// store). Set before the first translation.
 	Delivery Delivery
 	// helpers is the dirty-helper table a block's HelperIDs index: entry
 	// vex.HelperFlush is the core's flushAccesses, then the tool's own

@@ -10,12 +10,10 @@ package explore
 import (
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/gbuild"
 	"repro/internal/guest"
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/obs/store"
 	"repro/internal/tools/toolreg"
 	"repro/internal/tstore"
@@ -62,91 +60,23 @@ func (o Opts) injector() (*faultinject.Injector, error) {
 	return faultinject.ParseSpec(o.Inject, seed)
 }
 
-// recording bundles one seed's observability attachments while it records.
-type recording struct {
-	rw   *store.RunWriter
-	reg  *obs.Registry
-	tr   *obs.Tracer
-	prof *obs.Profiler
+// token returns seed's replay token ("" without TokenFor).
+func (o Opts) token(seed int) string {
+	if o.TokenFor == nil {
+		return ""
+	}
+	return o.TokenFor(seed)
 }
 
-// beginRecording opens a run in the store and builds the hooks that feed it.
-func beginRecording(o Opts, tool string, threads, seed int, im *guest.Image) *recording {
+// recorder begins seed's run in the sweep's store (nil when not recording).
+func (o Opts) recorder(tool string, threads, seed int, im *guest.Image, token string) *harness.Recorder {
 	if o.Record == nil {
 		return nil
 	}
-	rr := &recording{
-		reg:  obs.NewRegistry(),
-		prof: obs.NewProfiler(1),
-	}
-	rr.rw = o.Record.Begin(store.RunHeader{
+	return harness.NewRecorder(o.Record, store.RunHeader{
 		Prog: o.Prog, Tool: tool, Engine: o.Engine,
-		Seed: uint64(seed), Threads: threads,
-	})
-	sink := store.NewStoreSink(rr.rw)
-	if im != nil {
-		sink.SymFn = func(pc uint64) string {
-			if sym := im.SymbolFor(pc); sym != nil {
-				return sym.Name
-			}
-			return ""
-		}
-	}
-	rr.tr = obs.NewTracer(sink)
-	return rr
-}
-
-// hooks returns the obs attachment for the recorded attempt.
-func (rr *recording) hooks() *obs.Hooks {
-	if rr == nil {
-		return nil
-	}
-	return &obs.Hooks{Metrics: rr.reg, Tracer: rr.tr, Prof: rr.prof}
-}
-
-// finish captures the run's final state into the store. inst is the
-// surviving instance (fallback when the run degraded); token/verdict/
-// reports/reproduced describe the outcome.
-func (rr *recording) finish(inst *harness.Instance, res harness.Result,
-	verdict string, reports int, reproduced bool, token string) error {
-	if rr == nil {
-		return nil
-	}
-	_ = rr.tr.Close() // settles still-open spans in the store sink
-	if inst != nil {
-		inst.CaptureMetrics(rr.reg)
-		rr.rw.SetWork(res.GuestInstrs, inst.M.BlocksExecuted, uint64(res.Wall))
-		if tg, ok := inst.Core.Tool().(*core.Taskgrind); ok {
-			for _, row := range store.RacesFromSet(&tg.Reports) {
-				rr.rw.AddRace(row)
-			}
-		}
-	}
-	rr.rw.SetCounters(rr.reg.Snapshot().Counters)
-	rr.rw.SetReplayToken(token)
-	rr.rw.SetReproduced(reproduced)
-	if verdict == "" {
-		verdict = store.VerdictOK
-	}
-	errStr := ""
-	if res.Err != nil {
-		errStr = res.Err.Error()
-	}
-	rr.rw.SetResult(verdict, reports, errStr)
-	var im *guest.Image
-	if inst != nil {
-		im = inst.M.Image
-	}
-	rr.prof.Each(func(pc, count uint64) {
-		sym := ""
-		if im != nil {
-			if s := im.SymbolFor(pc); s != nil {
-				sym = s.Name
-			}
-		}
-		rr.rw.Sample(pc, sym, count)
-	})
-	return rr.rw.Finish()
+		Seed: uint64(seed), Threads: threads, ReplayToken: token,
+	}, im, 1)
 }
 
 // RunOpts explores nseeds schedules (seeds 1..n) like Run, with recording
@@ -180,7 +110,7 @@ func RunOpts(build func() *gbuild.Builder, tool string, threads, nseeds int, o O
 				errs[i] = err
 				return
 			}
-			rr := beginRecording(o, tool, threads, i+1, im)
+			rec := o.recorder(tool, threads, i+1, im, o.token(i+1))
 			in, err := o.injector()
 			if err != nil {
 				errs[i] = err
@@ -188,24 +118,20 @@ func RunOpts(build func() *gbuild.Builder, tool string, threads, nseeds int, o O
 			}
 			inst, err := harness.New(harness.Setup{
 				Image: im, Tool: tl, Seed: uint64(i + 1), Threads: threads,
-				Engine: o.Engine, Obs: rr.hooks(), TStore: tc, Inject: in,
+				Engine: o.Engine, Obs: rec.Hooks(), TStore: tc, Inject: in,
 			})
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			res := inst.Run()
-			token := ""
-			if o.TokenFor != nil {
-				token = o.TokenFor(i + 1)
-			}
 			if res.Err != nil {
 				fails[i] = &Failure{Seed: i + 1, Kind: harness.Classify(res.Err), Err: res.Err.Error()}
-				errs[i] = rr.finish(inst, res, fails[i].Kind, 0, false, token)
+				errs[i] = rec.Finish(inst, res, harness.Outcome{Verdict: fails[i].Kind})
 				return
 			}
 			out.Counts[i] = count()
-			errs[i] = rr.finish(inst, res, store.VerdictOK, out.Counts[i], false, token)
+			errs[i] = rec.Finish(inst, res, harness.Outcome{Reports: out.Counts[i]})
 		}(i)
 	}
 	for n := 0; n < nseeds; n++ {
@@ -255,11 +181,11 @@ func RunSupervisedOpts(build func() *gbuild.Builder, tool string, threads, nseed
 				errs[i] = err
 				return
 			}
-			rr := beginRecording(o, tool, threads, i+1, im)
 			seedOpts := sopts
-			if o.TokenFor != nil && seedOpts.Token == "" {
-				seedOpts.Token = o.TokenFor(i + 1)
+			if seedOpts.Token == "" {
+				seedOpts.Token = o.token(i + 1)
 			}
+			rec := o.recorder(tool, threads, i+1, im, seedOpts.Token)
 			var count func() int
 			attempts := 0
 			factory := func() harness.Setup {
@@ -273,7 +199,7 @@ func RunSupervisedOpts(build func() *gbuild.Builder, tool string, threads, nseed
 				// re-draw the identical firing pattern.
 				s.Inject, _ = o.injector()
 				if attempts == 0 {
-					s.Obs = rr.hooks()
+					s.Obs = rec.Hooks()
 				}
 				attempts++
 				return s
@@ -286,13 +212,13 @@ func RunSupervisedOpts(build func() *gbuild.Builder, tool string, threads, nseed
 			if sup.Err != nil {
 				fails[i] = &Failure{Seed: i + 1, Kind: sup.Taxonomy,
 					Err: sup.Err.Error(), Reproduced: sup.Reproduced}
-				errs[i] = rr.finish(sup.Inst, sup.Result, sup.Taxonomy, 0,
-					sup.Reproduced, seedOpts.Token)
+				errs[i] = rec.Finish(sup.Inst, sup.Result, harness.Outcome{
+					Verdict: sup.Taxonomy, Reproduced: sup.Reproduced})
 				return
 			}
 			out.Counts[i] = count()
-			errs[i] = rr.finish(sup.Inst, sup.Result, store.VerdictOK,
-				out.Counts[i], sup.Reproduced, seedOpts.Token)
+			errs[i] = rec.Finish(sup.Inst, sup.Result, harness.Outcome{
+				Reports: out.Counts[i], Reproduced: sup.Reproduced})
 		}(i)
 	}
 	for n := 0; n < nseeds; n++ {

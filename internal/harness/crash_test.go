@@ -111,6 +111,7 @@ func TestFaultInjectionGracefulDegradation(t *testing.T) {
 		{dbi.EngineCompiled, "per-event"},
 		{dbi.EngineCompiled, "batched"},
 	}
+	deliveries := map[string]dbi.Delivery{"per-event": dbi.DeliverPerEvent, "batched": dbi.DeliverBatched}
 	// outcome renders everything observable about a run: the structured
 	// error, the symbolized crash report, and the tool's reports.
 	outcome := func(res harness.Result, inst *harness.Instance) string {
@@ -157,13 +158,9 @@ func TestFaultInjectionGracefulDegradation(t *testing.T) {
 				t.Run(fmt.Sprintf("%s-every%d-%s-%s", kind, every, v.engine, v.delivery), func(t *testing.T) {
 					in := faultinject.New(7)
 					in.Enable(kind, every)
-					deliv, ok := dbi.ParseDelivery(v.delivery)
-					if !ok {
-						t.Fatalf("bad delivery %q", v.delivery)
-					}
 					res, inst, err := harness.BuildAndRun(randTaskProgram(11), harness.Setup{
 						Seed: 2, Threads: 4, Inject: in,
-						Tool: core.New(core.Options{}), Engine: v.engine, Delivery: deliv,
+						Tool: core.New(core.Options{}), Engine: v.engine, Delivery: deliveries[v.delivery],
 						RunOpts: vm.RunOpts{MaxBlocks: 2_000_000},
 					})
 					if err != nil {

@@ -66,7 +66,8 @@ type Setup struct {
 	// Delivery selects how access-stream tools receive memory accesses:
 	// dbi.DeliverBatched (one flush per superblock segment, the default) or
 	// dbi.DeliverPerEvent (one callback per access, the differential
-	// reference).
+	// reference batched delivery is tested against). A per-event core
+	// neither publishes to nor adopts from TStore.
 	Delivery dbi.Delivery
 	// Journal, when set, is attached to the machine and the injector: in
 	// record mode every scheduler pick and injection draw is logged; in
@@ -87,8 +88,8 @@ type Setup struct {
 	ReplayToken string
 	// TStore, when set, attaches the content-addressed translation store:
 	// the core resolves translations from (and publishes to) the cache's
-	// store for this run's (image hash, tool, engine, extend, delivery)
-	// key, so translation happens once per image rather than once per run.
+	// store for this run's (image hash, tool, engine, extend) key, so
+	// translation happens once per image rather than once per run.
 	// Tools that fix the engine themselves (compile-time instrumentation)
 	// never translate and are unaffected.
 	TStore *tstore.Cache
@@ -171,12 +172,11 @@ func New(s Setup) (*Instance, error) {
 			}
 		}
 		inst.Core.Shared = s.TStore.Open(tstore.Key{
-			Image:    tstore.ImageHash(s.Image),
-			Tool:     toolID,
-			Engine:   engine,
-			Extend:   s.Extend,
-			Delivery: s.Delivery.String(),
-			Helpers:  inst.Core.NumHelpers(),
+			Image:   tstore.ImageHash(s.Image),
+			Tool:    toolID,
+			Engine:  engine,
+			Extend:  s.Extend,
+			Helpers: inst.Core.NumHelpers(),
 		})
 		inst.TStore = s.TStore
 	}

@@ -147,18 +147,6 @@ func TestOverheadOrdering(t *testing.T) {
 	}
 }
 
-// TestParallelAnalysisSameReports: the parallel analysis pass finds the same
-// race count on racy LULESH.
-func TestParallelAnalysisSameReports(t *testing.T) {
-	racy := small
-	racy.Racy = true
-	seq := mustRun(t, racy, "taskgrind", 4, 5)
-	par := mustRun(t, racy, "taskgrind-par", 4, 5)
-	if seq.Reports != par.Reports {
-		t.Errorf("parallel analysis reports %d != sequential %d", par.Reports, seq.Reports)
-	}
-}
-
 // TestTableIIAndFig4Generate exercises the experiment drivers end to end on
 // a reduced configuration.
 func TestTableIIAndFig4Generate(t *testing.T) {

@@ -51,9 +51,6 @@ func NewStoreSink(rw *RunWriter) *StoreSink {
 	return s
 }
 
-// Run returns the underlying run writer (for counters, result, Finish).
-func (s *StoreSink) Run() *RunWriter { return s.rw }
-
 // argU64 extracts a numeric event argument.
 func argU64(args map[string]any, key string) (uint64, bool) {
 	v, ok := args[key]

@@ -18,7 +18,7 @@ func writeRun(t *testing.T, w *Writer, seed uint64) RunHeader {
 	t.Helper()
 	rw := w.Begin(RunHeader{
 		Prog: "task.c", Tool: "taskgrind", Engine: "compiled",
-		Delivery: "batched", Seed: seed, Threads: 4,
+		Seed: seed, Threads: 4, ReplayToken: "tg1:test",
 	})
 	base := seed * 100
 	for th := 0; th < 4; th++ {
@@ -35,7 +35,6 @@ func writeRun(t *testing.T, w *Writer, seed uint64) RunHeader {
 		ThreadA: 0, ThreadB: 2, Kind: "w/w", Addr: 0x8000000, Bytes: 4, Region: "heap"})
 	rw.SetCounters(map[string]uint64{"vm_blocks_executed_total": 10 * seed})
 	rw.SetWork(100*seed, 10*seed, 12345)
-	rw.SetReplayToken("tg1:test")
 	rw.SetResult(VerdictOK, 1, "")
 	if err := rw.Finish(); err != nil {
 		t.Fatalf("finish: %v", err)
@@ -155,26 +154,36 @@ func TestGoldenSegment(t *testing.T) {
 }
 
 func TestGoldenStillDecodes(t *testing.T) {
-	// Decode the checked-in golden segment through a copy (OpenReader globs
-	// the directory, and testdata may grow other files).
-	src, err := os.ReadFile(filepath.Join("testdata", "golden.tgseg"))
-	if err != nil {
-		t.Skipf("no golden yet: %v", err)
+	// Decode each checked-in golden segment through a copy (OpenReader
+	// globs the directory, and testdata holds more than one segment).
+	// golden-delivery.tgseg predates the header's dropped "delivery" key:
+	// JSON headers ignore unknown keys, so it decodes to the same runs as
+	// the current golden and old stores need no reader migration.
+	decode := func(name string) []RunHeader {
+		src, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "seg-00001.tgseg"), src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, err := r.Runs(Q{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) != 2 || runs[0].Seed != 1 || runs[1].Seed != 2 {
+			t.Fatalf("%s decode mismatch: %+v", name, runs)
+		}
+		return runs
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "seg-00001.tgseg"), src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs, err := r.Runs(Q{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 || runs[0].Seed != 1 || runs[1].Seed != 2 {
-		t.Fatalf("golden decode mismatch: %+v", runs)
+	cur, old := decode("golden.tgseg"), decode("golden-delivery.tgseg")
+	if !reflect.DeepEqual(cur, old) {
+		t.Fatalf("old golden decodes differently:\n got %+v\nwant %+v", old, cur)
 	}
 }
 
@@ -410,9 +419,9 @@ func TestPruningEquivalence(t *testing.T) {
 		{Q{}, false},
 		{Q{Seed: &three}, true},
 		{Q{MinTS: 500, MaxTS: 700}, true},
-		{Q{Thread: &th2}, false},       // every run touches threads 0..3
-		{Q{Sym: "task_a"}, false},      // every run records task_a
-		{Q{Kind: "task"}, false},       // kinds are in every block's dict
+		{Q{Thread: &th2}, false},  // every run touches threads 0..3
+		{Q{Sym: "task_a"}, false}, // every run records task_a
+		{Q{Kind: "task"}, false},  // kinds are in every block's dict
 		{Q{Kind: "sched"}, false},
 		{Q{Sym: "no-such-symbol"}, true},
 		{Q{MinTS: 1e9}, true},

@@ -345,9 +345,6 @@ func (rw *RunWriter) SetWork(instrs, blocks, wallNanos uint64) {
 // SetReproduced marks a verified (replayed bit-identically) crash.
 func (rw *RunWriter) SetReproduced(v bool) { rw.h.Reproduced = v }
 
-// SetReplayToken stamps the run's reproduction recipe.
-func (rw *RunWriter) SetReplayToken(tok string) { rw.h.ReplayToken = tok }
-
 // Stats returns the run's flushed-batch and dropped-event counts.
 func (rw *RunWriter) Stats() (flushedBatches, droppedEvents uint64) {
 	return rw.flushed, rw.dropped

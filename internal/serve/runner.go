@@ -12,16 +12,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/dbi"
 	"repro/internal/faultinject"
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/obs/store"
 	"repro/internal/progs"
-	"repro/internal/tools/archer"
-	"repro/internal/tools/memcheck"
-	"repro/internal/tools/romp"
 	"repro/internal/tools/toolreg"
 	"repro/internal/vm"
 )
@@ -175,39 +169,6 @@ func (s *Server) requeue(j *Job) {
 	}
 }
 
-// runRecord is an optional per-job run-store recording (Options.Record).
-type runRecord struct {
-	rw  *store.RunWriter
-	reg *obs.Registry
-}
-
-func (rr *runRecord) abort() {
-	if rr != nil {
-		rr.rw.Abort()
-	}
-}
-
-// finish completes the recorded run with the surviving attempt's state.
-func (rr *runRecord) finish(inst *harness.Instance, res harness.Result, out JobResult) {
-	if rr == nil {
-		return
-	}
-	if inst != nil {
-		inst.CaptureMetrics(rr.reg)
-		rr.rw.SetWork(res.GuestInstrs, inst.M.BlocksExecuted, uint64(res.Wall))
-		if tg, ok := inst.Core.Tool().(*core.Taskgrind); ok {
-			for _, row := range store.RacesFromSet(&tg.Reports) {
-				rr.rw.AddRace(row)
-			}
-		}
-	}
-	rr.rw.SetCounters(rr.reg.Snapshot().Counters)
-	rr.rw.SetReplayToken(out.ReplayToken)
-	rr.rw.SetReproduced(out.Reproduced)
-	rr.rw.SetResult(out.Verdict, out.Reports, out.Err)
-	_ = rr.rw.Finish()
-}
-
 // runAttempt executes one attempt of j under ctx, fully contained: every
 // failure mode comes back as a classified JobResult, never as a panic or a
 // daemon exit.
@@ -219,7 +180,6 @@ func (s *Server) runAttempt(ctx context.Context, j *Job) JobResult {
 		out.Err = err.Error()
 		return out
 	}
-	deliv, _ := dbi.ParseDelivery(sp.Delivery)
 	timeout := time.Duration(sp.TimeoutMS) * time.Millisecond
 	if timeout <= 0 {
 		timeout = s.opts.JobTimeout
@@ -232,19 +192,18 @@ func (s *Server) runAttempt(ctx context.Context, j *Job) JobResult {
 	if err != nil {
 		return fail(harness.TaxError, err)
 	}
-	var rr *runRecord
+	var rec *harness.Recorder
 	if s.opts.Record != nil {
-		rr = &runRecord{reg: obs.NewRegistry()}
-		rr.rw = s.opts.Record.Begin(store.RunHeader{
+		rec = harness.NewRecorder(s.opts.Record, store.RunHeader{
 			Prog: sp.Prog, Tool: sp.Tool, Engine: sp.Engine,
-			Delivery: deliv.String(), Seed: sp.Seed, Threads: sp.Threads,
-		})
+			Seed: sp.Seed, Threads: sp.Threads, ReplayToken: j.Token,
+		}, im, 1)
 	}
 
 	// The attempt factory: fresh tool, injector and output buffer per
 	// (re-)execution, mirroring the CLI's makeSetup — supervised runs may
 	// build record, replay and fallback instances from it. Only the first
-	// build attaches the recording registry, so replays don't double-count.
+	// build attaches the recorder, so replays don't double-count.
 	outBuf := &bytes.Buffer{}
 	var countFn func() int
 	builds := 0
@@ -256,7 +215,7 @@ func (s *Server) runAttempt(ctx context.Context, j *Job) JobResult {
 		st := harness.Setup{
 			Image: im, Tool: tl, Seed: sp.Seed, Threads: sp.Threads,
 			Stdout: outBuf, Inject: inj, LenientMem: sp.Lenient,
-			Engine: sp.Engine, Extend: sp.Extend, Delivery: deliv,
+			Engine: sp.Engine, Extend: sp.Extend,
 			TStore: s.opts.TCache,
 			RunOpts: vm.RunOpts{
 				MaxBlocks: sp.MaxBlocks, MaxInstrs: sp.MaxInstrs, Timeout: timeout,
@@ -267,8 +226,8 @@ func (s *Server) runAttempt(ctx context.Context, j *Job) JobResult {
 				},
 			},
 		}
-		if rr != nil && builds == 0 {
-			st.Obs = &obs.Hooks{Metrics: rr.reg}
+		if builds == 0 {
+			st.Obs = rec.Hooks()
 		}
 		builds++
 		return st
@@ -281,7 +240,7 @@ func (s *Server) runAttempt(ctx context.Context, j *Job) JobResult {
 			OnPanic: harness.OnPanicFallback, VerifyCrash: true, Token: j.Token,
 		})
 		if serr != nil {
-			rr.abort()
+			rec.Abort()
 			return fail(harness.TaxError, serr)
 		}
 		res, inst = sup.Result, sup.Inst
@@ -302,7 +261,7 @@ func (s *Server) runAttempt(ctx context.Context, j *Job) JobResult {
 	} else {
 		inst, err = harness.New(factory())
 		if err != nil {
-			rr.abort()
+			rec.Abort()
 			return fail(harness.TaxError, err)
 		}
 		res = inst.RunCtx(ctx)
@@ -327,26 +286,13 @@ func (s *Server) runAttempt(ctx context.Context, j *Job) JobResult {
 	}
 	if out.Verdict == store.VerdictOK {
 		out.Reports = countFn()
-		out.Output = outBuf.String() + renderReports(inst.Core.Tool(), out.Reports)
-	}
-	rr.finish(inst, res, out)
-	return out
-}
-
-// renderReports renders a surviving tool's findings — the same per-tool
-// switch the CLI prints, so a job's Output matches the equivalent
-// `taskgrind` invocation.
-func renderReports(tl dbi.Tool, count int) string {
-	switch tt := tl.(type) {
-	case *core.Taskgrind:
-		if tt.Opt.IgnoreMutexinoutsetDeps { // the ROMP configuration
-			return romp.Format(&tt.Reports)
+		text, ok := toolreg.Render(inst.Core.Tool())
+		if !ok {
+			text = fmt.Sprintf("== %d report(s)\n", out.Reports)
 		}
-		return tt.Reports.String()
-	case *archer.Archer:
-		return tt.String()
-	case *memcheck.Memcheck:
-		return tt.String()
+		out.Output = outBuf.String() + text
 	}
-	return fmt.Sprintf("== %d report(s)\n", count)
+	_ = rec.Finish(inst, res, harness.Outcome{Verdict: out.Verdict,
+		Reports: out.Reports, Err: out.Err, Reproduced: out.Reproduced})
+	return out
 }

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +16,10 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/lulesh"
 	"repro/internal/obs/store"
+	"repro/internal/progs"
+	"repro/internal/tools/toolreg"
 )
 
 // newTestServer starts a server with test-friendly backoff and stops it at
@@ -543,4 +548,66 @@ func TestHTTPShedsWith429(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 	_ = s.Cancel(long[0].ID)
+}
+
+// TestJobOutputMatchesCLI: a done job's Output is byte-for-byte what the
+// CLI prints for the same configuration — guest stdout, then the tool's
+// rendered report (toolreg.Render, or the "== N report(s)" line for tools
+// without a renderer) — for every registered tool.
+func TestJobOutputMatchesCLI(t *testing.T) {
+	const prog = "lock-103-lock-order"
+	s := newTestServer(t, Options{Workers: 2})
+	for _, tool := range toolreg.Names() {
+		b, err := progs.Build(prog, lulesh.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl, count, err := toolreg.Make(tool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout bytes.Buffer
+		res, _, err := harness.BuildAndRun(b, harness.Setup{Tool: tl, Seed: 1, Threads: 4, Stdout: &stdout})
+		if err != nil || res.Err != nil {
+			t.Fatalf("%s: %v %v", tool, err, res.Err)
+		}
+		text, ok := toolreg.Render(tl)
+		if !ok {
+			text = fmt.Sprintf("== %d report(s)\n", count())
+		}
+		want := stdout.String() + text
+
+		jobs, err := s.Submit(JobSpec{Prog: prog, Tool: tool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := await(t, s, jobs[0].ID, 30*time.Second)
+		if v.Status != StatusDone {
+			t.Fatalf("%s: status %s (result %+v)", tool, v.Status, v.Result)
+		}
+		if v.Result.Output != want {
+			t.Errorf("%s: job output differs from the CLI's:\n--- job\n%s--- cli\n%s", tool, v.Result.Output, want)
+		}
+	}
+}
+
+// TestHTTPRejectsDeliveryField: delivery is no longer part of a job spec,
+// and an unknown field is a 400 that names it, not a silently ignored key.
+func TestHTTPRejectsDeliveryField(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"prog":"task.c","delivery":"per-event"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field "delivery"`) {
+		t.Fatalf("delivery field: %d %q, want 400 naming the field", resp.StatusCode, body)
+	}
 }

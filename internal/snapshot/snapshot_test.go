@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"encoding/base64"
 	"testing"
 
 	"repro/internal/gmem"
@@ -219,7 +220,7 @@ func TestJournalFirePrefixSemantics(t *testing.T) {
 func TestTokenRoundTrip(t *testing.T) {
 	cfg := Config{
 		Prog: "fib", Tool: "memcheck", Seed: 99, Threads: 4, Slice: 7,
-		Engine: "compiled", Delivery: "batched", Extend: 2,
+		Engine: "compiled", Extend: 2,
 		Inject: "panic:every=3", InjectSeed: 1234, Lenient: true,
 		LSize: 10, LIters: 8, LTasksEl: 4, LTasksNd: 2, LRacy: true,
 	}
@@ -243,6 +244,21 @@ func TestTokenDefaultsOmitted(t *testing.T) {
 		Inject: "heap:every=2;pool:every=3", InjectSeed: 42}.Token()
 	if len(short) >= len(long) {
 		t.Fatal("zero fields not omitted from encoding")
+	}
+}
+
+// TestTokenIgnoresDeliveryKey: a token from before delivery left the run
+// configuration still parses, to the configuration without the key.
+func TestTokenIgnoresDeliveryKey(t *testing.T) {
+	cfg := Config{Prog: "task.c", Tool: "taskgrind", Seed: 2, Threads: 4}
+	old := "tg1:" + base64.RawURLEncoding.EncodeToString(
+		[]byte("delivery=per-event&prog=task.c&seed=2&threads=4&tool=taskgrind"))
+	got, err := ParseToken(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != cfg {
+		t.Fatalf("parsed %+v, want %+v", got, cfg)
 	}
 }
 

@@ -27,7 +27,6 @@ type Config struct {
 	Threads    int
 	Slice      int
 	Engine     string
-	Delivery   string
 	Extend     int
 	Inject     string
 	InjectSeed uint64
@@ -66,7 +65,6 @@ func (c Config) Token() string {
 	setInt("threads", c.Threads)
 	setInt("slice", c.Slice)
 	set("engine", c.Engine)
-	set("delivery", c.Delivery)
 	setInt("extend", c.Extend)
 	set("inject", c.Inject)
 	setU64("iseed", c.InjectSeed)
@@ -112,7 +110,6 @@ func ParseToken(tok string) (Config, error) {
 	c.Prog = v.Get("prog")
 	c.Tool = v.Get("tool")
 	c.Engine = v.Get("engine")
-	c.Delivery = v.Get("delivery")
 	c.Inject = v.Get("inject")
 	c.Lenient = v.Get("lenient") == "1"
 	c.LRacy = v.Get("lracy") == "1"

@@ -43,7 +43,7 @@ import (
 // header). Bump it whenever the unit encoding, the IR, the micro-op set or
 // the translator's output changes shape: old files then simply never match
 // and the store starts cold instead of serving stale translations.
-const FormatVersion = 3
+const FormatVersion = 4
 
 // Key identifies one translation universe: every input that can change the
 // bytes a translation produces. Two runs with equal Keys may share
@@ -60,8 +60,6 @@ type Key struct {
 	Engine string
 	// Extend is the superblock extension budget.
 	Extend int
-	// Delivery is the access-delivery mode ("batched" or "per-event").
-	Delivery string
 	// Helpers is the size of the tool's dirty-helper table (the core's
 	// NumHelpers): a decoded unit that calls a helper beyond it is
 	// rejected.
@@ -73,8 +71,8 @@ type Key struct {
 // String renders the canonical form hashed into the on-disk file name and
 // written into the file header.
 func (k Key) String() string {
-	return fmt.Sprintf("v%d/img=%s/tool=%s/engine=%s/extend=%d/delivery=%s/helpers=%d",
-		k.Version, k.Image, k.Tool, k.Engine, k.Extend, k.Delivery, k.Helpers)
+	return fmt.Sprintf("v%d/img=%s/tool=%s/engine=%s/extend=%d/helpers=%d",
+		k.Version, k.Image, k.Tool, k.Engine, k.Extend, k.Helpers)
 }
 
 // ImageHash computes the content hash of a guest image: text, data, entry,

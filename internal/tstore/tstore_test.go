@@ -44,7 +44,7 @@ func sampleUnit(t *testing.T, addr uint64) *Unit {
 
 func testKey() Key {
 	return Key{Image: "abc123", Tool: "taskgrind", Engine: "compiled",
-		Extend: 8, Delivery: "batched", Helpers: 1, Version: FormatVersion}
+		Extend: 8, Helpers: 1, Version: FormatVersion}
 }
 
 // TestUnitRoundtrip: encode/decode preserves the IR and the compiled form,
@@ -179,9 +179,6 @@ func TestInvalidation(t *testing.T) {
 	cases = append(cases, k)
 	k = testKey()
 	k.Extend = 0
-	cases = append(cases, k)
-	k = testKey()
-	k.Delivery = "per-event"
 	cases = append(cases, k)
 	k = testKey()
 	k.Version = FormatVersion + 1

@@ -67,7 +67,7 @@ func BenchmarkToolDelivery(b *testing.B) {
 	done := 0
 	for _, arm := range arms {
 		arm := arm
-		arm.Mode = arm.Delivery.String()
+		arm.Mode = arm.Name
 		b.Run(arm.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for r := 0; r < repeats; r++ {

@@ -205,6 +205,35 @@ func TestStoreEquivalenceCrash(t *testing.T) {
 	}
 }
 
+// TestStorePerEventGuard: the store key carries no delivery mode, so a
+// per-event core (the differential reference) must neither publish to nor
+// adopt from the store. A per-event run leaves the store empty, a batched
+// run afterwards on the same cache is bit-identical to a cold batched run,
+// and a per-event run on the now-warm cache still adopts nothing.
+func TestStorePerEventGuard(t *testing.T) {
+	bm, ok := drb.ByName("027-taskdependmissing-orig")
+	if !ok {
+		t.Fatal("missing benchmark")
+	}
+	for _, eng := range []string{dbi.EngineIR, dbi.EngineCompiled} {
+		cold, _ := tcRun(t, bm, eng, 0, harness.Setup{})
+		cache := tstore.NewCache(t.TempDir())
+		perEvent := harness.Setup{TStore: cache, Delivery: dbi.DeliverPerEvent}
+		_, pe := tcRun(t, bm, eng, 0, perEvent)
+		if cs := cache.Stats(); cs.Units != 0 || pe.Core.SharedHits != 0 {
+			t.Fatalf("%s: per-event run left %d store units, %d shared hits", eng, cs.Units, pe.Core.SharedHits)
+		}
+		fill, _ := tcRun(t, bm, eng, 0, harness.Setup{TStore: cache})
+		diffPrints(t, bm.Name+"/"+eng+"/batched-after-per-event", cold, fill)
+		if cache.Stats().Units == 0 {
+			t.Fatalf("%s: batched run published nothing", eng)
+		}
+		if _, pe := tcRun(t, bm, eng, 0, perEvent); pe.Core.SharedHits != 0 {
+			t.Fatalf("%s: per-event run adopted %d units from a warm store", eng, pe.Core.SharedHits)
+		}
+	}
+}
+
 // TestStoreInvalidationHarness: two different programs sharing one cache
 // directory never serve each other's translations — the image content hash
 // keys them apart end to end.
