@@ -82,12 +82,16 @@ lock-matrix:
 
 # Short fuzzing smoke runs over the untrusted-input surfaces: the
 # assembler, the instruction decoder, and the translation-store frame
-# protocol (the scan that untrusted cache files pass through). Go runs one
-# -fuzz package at a time, hence three invocations.
+# protocol (the scan that untrusted cache files pass through); plus the
+# interval tree's insert fast path against its general path (whose
+# inputs each replay up to 256 checked inserts, so minimizing a new
+# input is capped at 10 runs instead of Go's default 60 s). Go runs one
+# -fuzz package at a time, hence four invocations.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzAssemble' -fuzztime 5s ./internal/gasm
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 5s ./internal/guest
 	$(GO) test -run '^$$' -fuzz 'FuzzFrameScan' -fuzztime 5s ./internal/tstore
+	$(GO) test -run '^$$' -fuzz 'FuzzInsert' -fuzztime 5s -fuzzminimizetime 10x ./internal/itree
 
 # One short iteration of the observability benchmark; the metrics snapshot
 # of the full-stack variant lands in BENCH_obs.json.

@@ -301,25 +301,36 @@ func (tg *Taskgrind) AccessHooks(im *guest.Image) (load, store vm.AccessHook, fi
 	}
 	filter = dbi.SymbolFilter(im, func(sym string) bool { return !tg.symFiltered(sym) })
 	load = func(t *vm.Thread, addr uint64, w uint8, pc uint64) {
-		tg.record(t, addr, w, false)
+		if seg := curSegment(t); seg != nil {
+			tg.record(seg, addr, w, false)
+		}
 	}
 	store = func(t *vm.Thread, addr uint64, w uint8, pc uint64) {
-		tg.record(t, addr, w, true)
+		if seg := curSegment(t); seg != nil {
+			tg.record(seg, addr, w, true)
+		}
 	}
 	return load, store, filter
 }
 
-// record attributes one access to the thread's current segment.
-func (tg *Taskgrind) record(t *vm.Thread, addr uint64, w uint8, write bool) {
-	ts, ok := t.Tool.(*threadState)
-	if !ok || ts.cur == nil || tg.skipAddr(addr) {
+// curSegment returns the thread's current segment, nil outside any.
+func curSegment(t *vm.Thread) *Segment {
+	if ts, ok := t.Tool.(*threadState); ok {
+		return ts.cur
+	}
+	return nil
+}
+
+// record attributes one access to seg, the thread's current segment.
+func (tg *Taskgrind) record(seg *Segment, addr uint64, w uint8, write bool) {
+	if tg.skipAddr(addr) {
 		return
 	}
 	tg.Stats.AccessesRecorded++
 	if write {
-		ts.cur.Writes.InsertPoint(addr, w)
+		seg.Writes.InsertPoint(addr, w)
 	} else {
-		ts.cur.Reads.InsertPoint(addr, w)
+		seg.Reads.InsertPoint(addr, w)
 	}
 }
 
@@ -398,9 +409,13 @@ func (tg *Taskgrind) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock
 // FlushAccesses implements dbi.AccessSink: record a batch of accesses into
 // the thread's current segment.
 func (tg *Taskgrind) FlushAccesses(t *vm.Thread, batch []dbi.Access) {
+	seg := curSegment(t)
+	if seg == nil {
+		return
+	}
 	for i := range batch {
 		a := &batch[i]
-		tg.record(t, a.Addr, a.Wd, a.Store)
+		tg.record(seg, a.Addr, a.Wd, a.Store)
 	}
 }
 

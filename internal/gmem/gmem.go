@@ -36,11 +36,14 @@ const (
 type Memory struct {
 	pages map[uint64]*[PageSize]byte
 
-	// lastPageIdx/lastPage cache the most recently touched page, bypassing
-	// the page-map lookup for the common run of same-page accesses. Pages
-	// are never deallocated, so the cache cannot go stale.
-	lastPageIdx uint64
-	lastPage    *[PageSize]byte
+	// pageCache is a direct-mapped page cache indexed by
+	// idx&(pageCacheSize-1), consulted before the page map (Valgrind's
+	// tt_fast shape). A run of same-page accesses hits one slot, and loops
+	// that alternate between a few arrays (LULESH's structure-of-arrays
+	// sweeps) hit several, where a one-entry cache would miss on every
+	// switch. Pages are never deallocated and restores copy into the
+	// resident page, so no entry can go stale.
+	pageCache [pageCacheSize]pageCacheEntry
 
 	// Strict enables permission checking on guest accessors.
 	Strict bool
@@ -61,6 +64,16 @@ type Memory struct {
 	dirtyGen uint64
 }
 
+// pageCacheSize is the number of direct-mapped page-cache entries (a power
+// of two).
+const pageCacheSize = 64
+
+// pageCacheEntry maps a page index to its page; a nil p is an empty slot.
+type pageCacheEntry struct {
+	idx uint64
+	p   *[PageSize]byte
+}
+
 // New creates an empty address space (lenient: no regions, Strict off).
 func New() *Memory {
 	return &Memory{pages: make(map[uint64]*[PageSize]byte), lastRegion: -1}
@@ -69,8 +82,8 @@ func New() *Memory {
 // page returns the page containing addr, allocating it on first touch.
 func (m *Memory) page(addr uint64) *[PageSize]byte {
 	idx := addr >> pageShift
-	if p := m.lastPage; p != nil && idx == m.lastPageIdx {
-		return p
+	if e := &m.pageCache[idx&(pageCacheSize-1)]; e.p != nil && e.idx == idx {
+		return e.p
 	}
 	return m.pageSlow(idx)
 }
@@ -83,7 +96,7 @@ func (m *Memory) pageSlow(idx uint64) *[PageSize]byte {
 		p = new([PageSize]byte)
 		m.pages[idx] = p
 	}
-	m.lastPageIdx, m.lastPage = idx, p
+	m.pageCache[idx&(pageCacheSize-1)] = pageCacheEntry{idx, p}
 	return p
 }
 

@@ -108,23 +108,32 @@ func TestFootprint(t *testing.T) {
 	}
 }
 
-// Property: a sequence of stores then a load returns the last store's bytes,
-// checked against a simple map model.
+// Property: loads return the last store's bytes, checked against a simple
+// map model. Addresses span 512 pages, eight times the page cache's entries,
+// so cache slots alias and are refilled; every store is followed by a load
+// of an earlier-stored byte, interleaving hits and misses.
 func TestQuickMemoryVsModel(t *testing.T) {
 	type op struct {
-		Addr  uint32
-		Width uint8
-		Val   uint64
+		Page, Off uint16
+		Width     uint8
+		Val       uint64
+		Probe     uint16
 	}
 	f := func(ops []op) bool {
 		m := New()
 		model := map[uint64]byte{}
+		var stored []uint64
 		for _, o := range ops {
 			w := []uint8{1, 2, 4, 8}[o.Width%4]
-			addr := uint64(o.Addr)
+			addr := uint64(o.Page%512)*PageSize + uint64(o.Off%PageSize)
 			m.Store(addr, w, o.Val)
 			for i := uint8(0); i < w; i++ {
 				model[addr+uint64(i)] = byte(o.Val >> (8 * i))
+			}
+			stored = append(stored, addr)
+			a := stored[int(o.Probe)%len(stored)]
+			if byte(m.Load(a, 1)) != model[a] {
+				return false
 			}
 		}
 		for a, b := range model {
@@ -137,4 +146,109 @@ func TestQuickMemoryVsModel(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// aliasAddrs returns one address in each of n pages whose indices share a
+// page-cache slot (idx, idx+pageCacheSize, ...).
+func aliasAddrs(n int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = (5+uint64(i)*pageCacheSize)*PageSize + 0x18
+	}
+	return out
+}
+
+// TestPageCacheAliasing interleaves stores and loads on pages that map to
+// the same cache slot: each access evicts the other page's entry, and every
+// value must still land on, and be read from, its own page.
+func TestPageCacheAliasing(t *testing.T) {
+	m := New()
+	addrs := aliasAddrs(3)
+	for round := uint64(0); round < 4; round++ {
+		for i, a := range addrs {
+			m.Store(a, 8, round<<8|uint64(i))
+			m.Store(a+PageSize, 8, ^(round<<8 | uint64(i))) // neighbouring slot
+		}
+		for i, a := range addrs {
+			if got := m.Load(a, 8); got != round<<8|uint64(i) {
+				t.Fatalf("round %d page %#x = %#x", round, a>>pageShift, got)
+			}
+			if got := m.Load(a+PageSize, 8); got != ^(round<<8 | uint64(i)) {
+				t.Fatalf("round %d page %#x = %#x", round, (a>>pageShift)+1, got)
+			}
+		}
+	}
+	if m.ResidentPages() != 6 {
+		t.Fatalf("resident pages = %d, want 6", m.ResidentPages())
+	}
+}
+
+// TestPageCacheSeesWritePages: a WritePages restore is visible through
+// cached pages, both the slot's current page and an aliased one.
+func TestPageCacheSeesWritePages(t *testing.T) {
+	m := New()
+	addrs := aliasAddrs(2)
+	for _, a := range addrs {
+		m.Store(a, 8, 0x1111)
+	}
+	snap := m.AllPages()
+	for _, a := range addrs {
+		m.Store(a, 8, 0x2222) // both pages cached, slot holds the last
+	}
+	m.WritePages(snap)
+	for _, a := range addrs {
+		if got := m.Load(a, 8); got != 0x1111 {
+			t.Fatalf("after restore, page %#x = %#x, want 0x1111", a>>pageShift, got)
+		}
+	}
+}
+
+// TestPageCacheStrictFaults: a warm cache entry for a mapped page does not
+// let an access to an aliased, unmapped page through, and the faulting
+// access allocates nothing.
+func TestPageCacheStrictFaults(t *testing.T) {
+	m := New()
+	addrs := aliasAddrs(2)
+	m.Map(addrs[0]&^pageMask, PageSize, PermRW)
+	m.Strict = true
+	m.Store(addrs[0], 8, 7)
+	if m.Load(addrs[0], 8) != 7 {
+		t.Fatal("mapped page round trip failed")
+	}
+	for _, acc := range []Access{AccessRead, AccessWrite} {
+		func() {
+			defer func() {
+				f, ok := recover().(*Fault)
+				if !ok || f.Addr != addrs[1] || f.Access != acc || f.Perm != PermNone {
+					t.Fatalf("%v of aliased unmapped page: recovered %v, want unmapped fault at %#x", acc, f, addrs[1])
+				}
+			}()
+			if acc == AccessRead {
+				m.Load(addrs[1], 8)
+			} else {
+				m.Store(addrs[1], 8, 9)
+			}
+		}()
+	}
+	if m.ResidentPages() != 1 || m.Load(addrs[0], 8) != 7 {
+		t.Fatalf("fault changed memory: %d resident pages", m.ResidentPages())
+	}
+}
+
+// BenchmarkLoadScattered: loads round-robin over 16 far-apart pages (the
+// structure-of-arrays pattern), each in its own page-cache slot.
+func BenchmarkLoadScattered(b *testing.B) {
+	m := New()
+	const arrays = 16
+	var addrs [arrays]uint64
+	for i := range addrs {
+		addrs[i] = uint64(i)*(0x10_0000+PageSize) + 0x40 // distinct slots
+		m.Store(addrs[i], 8, uint64(i))
+	}
+	b.ResetTimer()
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		sum += m.Load(addrs[i%arrays], 8)
+	}
+	_ = sum
 }

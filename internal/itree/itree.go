@@ -7,7 +7,18 @@
 //
 // The tree is a treap (randomized BST) with deterministic priorities derived
 // from the interval start, so identical access sequences build identical
-// trees — preserving run-to-run reproducibility.
+// trees — preserving run-to-run reproducibility. The priority hash is a
+// bijection, so priorities are distinct and the shape is canonical: it
+// depends only on the set of interval starts, not on the insert history.
+//
+// Insert exploits that on the hot path. One descent finds the predecessor
+// and successor of the new interval; when the predecessor already covers it
+// (a re-read) Insert returns, and when the predecessor touches it and the
+// successor starts beyond it (a sweep extending its interval) Insert raises
+// the predecessor's end and the maxHi values on its root path. Neither case
+// changes the set of starts, so the tree is the one the general
+// split/absorb/merge path would have built. Only an access that opens a new
+// interval or bridges existing ones restructures the tree.
 package itree
 
 // Interval is a half-open byte range [Lo, Hi).
@@ -108,6 +119,44 @@ func (t *Tree) Insert(lo, hi uint64) {
 	if lo >= hi {
 		return
 	}
+	// Fast path (see the package comment): pred has the largest start
+	// <= lo, succ the smallest start > lo.
+	var pred, succ *node
+	for n := t.root; n != nil; {
+		if n.iv.Lo <= lo {
+			pred, n = n, n.right
+		} else {
+			succ, n = n, n.left
+		}
+	}
+	if pred != nil && pred.iv.Hi >= lo {
+		if pred.iv.Hi >= hi {
+			return
+		}
+		if succ == nil || succ.iv.Lo > hi {
+			pred.iv.Hi = hi
+			for n := t.root; ; {
+				if n.maxHi < hi {
+					n.maxHi = hi
+				}
+				if n == pred {
+					return
+				}
+				if n.iv.Lo < pred.iv.Lo {
+					n = n.right
+				} else {
+					n = n.left
+				}
+			}
+		}
+	}
+	t.insertGeneral(lo, hi)
+}
+
+// insertGeneral is Insert's restructuring path: split out everything the
+// new interval overlaps or touches, absorb it into one node, and merge the
+// pieces back.
+func (t *Tree) insertGeneral(lo, hi uint64) {
 	// All intervals with start <= hi might merge; intervals are disjoint
 	// and non-adjacent so only the predecessor of lo can overlap from the
 	// left.

@@ -384,6 +384,7 @@ func (lg *Lockgrind) FlushAccesses(t *vm.Thread, batch []dbi.Access) {
 	if ts == nil || ts.cur == nil {
 		return
 	}
+	reads, writes := ts.cur.reads, ts.cur.writes
 	for i := range batch {
 		a := &batch[i]
 		// Runtime-pool internals (descriptors, lock words) are the
@@ -392,9 +393,9 @@ func (lg *Lockgrind) FlushAccesses(t *vm.Thread, batch []dbi.Access) {
 			continue
 		}
 		if a.Store {
-			ts.cur.writes.InsertPoint(a.Addr, a.Wd)
+			writes.InsertPoint(a.Addr, a.Wd)
 		} else {
-			ts.cur.reads.InsertPoint(a.Addr, a.Wd)
+			reads.InsertPoint(a.Addr, a.Wd)
 		}
 	}
 }
